@@ -76,8 +76,8 @@ fn run() {
     let diff_repeats = if smoke { 1 } else { 4 };
     let pool = JvmSpec::differential_pool();
 
-    // The workload: optimization-heavy mutants of the experiment seeds
-    // (the same construction as oracle_bench), compiled to images once.
+    // The workload: optimization-heavy mutants of the experiment seeds,
+    // compiled to images once.
     let programs: Vec<mjava::Program> = experiment_seeds(6)
         .iter()
         .enumerate()

@@ -191,7 +191,7 @@ fn fleet_rows(rounds: usize, iterations: usize) -> Vec<FleetRow> {
             for t in 0..tenants {
                 let spec = CampaignSpec::from_json(&format!(
                     "{{\"rounds\": {rounds}, \"seed\": {}, \"iterations\": {iterations}, \
-                     \"jobs\": 1, \"oracle_jobs\": 1}}",
+                     \"jobs\": 1}}",
                     100 + t as u64,
                 ))
                 .expect("parse spec");

@@ -129,7 +129,6 @@ pub fn dual_family_campaign(seeds: &[Seed], rounds_per_family: usize) -> DualRes
             supervisor: Default::default(),
             fault: None,
             jobs: 1,
-            oracle_jobs: 1,
         };
         let result = run_campaign(seeds, &config);
         merged.executions += result.executions;

@@ -20,7 +20,7 @@
 
 use jvmsim::{FaultPlan, JvmSpec, RunOptions};
 use mopfuzzer::{
-    differential_jobs, fuzz, resume_campaign_extended, run_campaign_observed,
+    differential, fuzz, resume_campaign_extended, run_campaign_observed,
     run_campaign_with_journal_observed, run_corpus_campaign, CampaignConfig, CampaignObserver,
     CampaignResult, CorpusOptions, FuzzConfig, OracleVerdict, SupervisorConfig, Variant,
 };
@@ -212,16 +212,11 @@ fn print_usage() {
                                    watchdog cancels the hung round so even\n\
                                    a wedged mutant cannot stall the\n\
                                    campaign. Journals stay bit-identical\n\
-                                   at any --jobs x --oracle-jobs\n\
+                                   at any --jobs\n\
            --jobs N                worker threads executing rounds (default:\n\
                                    all hardware threads). Journals, results\n\
                                    and corpus flushes are bit-identical at\n\
                                    any worker count\n\
-           --oracle-jobs N         worker threads per differential-oracle\n\
-                                   invocation (default: hardware threads not\n\
-                                   taken by --jobs, min 1). Shares one pool\n\
-                                   with --jobs; results are bit-identical at\n\
-                                   any --jobs x --oracle-jobs combination\n\
            --retries N             retries per faulted round (default 2)\n\
            --quarantine-threshold N  failed rounds before a (seed, mutator)\n\
                                    pair is quarantined (default 2)\n\
@@ -292,7 +287,6 @@ struct CliOptions {
     promote_threshold: Option<f64>,
     gc_streak: Option<u64>,
     jobs: Option<usize>,
-    oracle_jobs: Option<usize>,
     exec_mode: jexec::ExecMode,
     supervisor: SupervisorConfig,
     fault: Option<FaultPlan>,
@@ -304,15 +298,6 @@ fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// `--oracle-jobs` default: the hardware threads `--jobs` left over (at
-/// least 1, i.e. a serial oracle). Both engines draw from one shared
-/// process-wide pool, so this default never oversubscribes: with `--jobs`
-/// saturating the machine the oracle stays serial, and with a small
-/// `--jobs` the idle threads fan out differential executions instead.
-fn default_oracle_jobs(jobs: usize) -> usize {
-    default_jobs().saturating_sub(jobs).max(1)
-}
-
 fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut map: HashMap<&str, &str> = HashMap::new();
     let mut profile = false;
@@ -321,6 +306,9 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("unexpected argument {key:?}"));
         };
+        if name == "oracle-jobs" {
+            return Err(mopfuzzer::ORACLE_JOBS_REMOVED.to_string());
+        }
         if name == "profile" {
             // A bare flag, but `--profile true|false` is also accepted for
             // symmetry with --enable_profile_guide.
@@ -356,7 +344,6 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
             "promote-threshold" => "promote-threshold",
             "gc-streak" => "gc-streak",
             "jobs" => "jobs",
-            "oracle-jobs" => "oracle-jobs",
             "exec-mode" => "exec-mode",
             "max-steps" => "max-steps",
             "max-execs" => "max-execs",
@@ -437,10 +424,6 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         jobs: match num::<usize>(&map, "jobs")? {
             Some(0) => return Err("bad --jobs (must be >= 1)".to_string()),
             jobs => jobs,
-        },
-        oracle_jobs: match num::<usize>(&map, "oracle-jobs")? {
-            Some(0) => return Err("bad --oracle-jobs (must be >= 1)".to_string()),
-            oracle_jobs => oracle_jobs,
         },
         exec_mode: match map.get("exec-mode").copied() {
             None | Some("threaded") => jexec::ExecMode::Threaded,
@@ -664,9 +647,6 @@ fn run_campaign_mode(options: &CliOptions) -> Result<(), String> {
         supervisor: options.supervisor.clone(),
         fault: options.fault.clone(),
         jobs,
-        oracle_jobs: options
-            .oracle_jobs
-            .unwrap_or_else(|| default_oracle_jobs(jobs)),
     };
     if let Some(dir) = &options.corpus {
         return run_corpus_campaign_mode(options, &config, dir);
@@ -697,13 +677,7 @@ fn run_campaign_mode(options: &CliOptions) -> Result<(), String> {
     }
     finish_telemetry(
         options,
-        &trace_meta(
-            config.jobs,
-            config.oracle_jobs,
-            config.rounds,
-            config.rng_seed,
-            started,
-        ),
+        &trace_meta(config.jobs, config.rounds, config.rng_seed, started),
     )?;
     print_campaign_summary(&result, streaming);
     maybe_print_interrupted(&result, options.journal.as_deref(), streaming);
@@ -752,13 +726,7 @@ fn run_corpus_campaign_mode(
     }
     finish_telemetry(
         options,
-        &trace_meta(
-            config.jobs,
-            config.oracle_jobs,
-            config.rounds,
-            config.rng_seed,
-            started,
-        ),
+        &trace_meta(config.jobs, config.rounds, config.rng_seed, started),
     )?;
     print_campaign_summary(&result, streaming);
     maybe_print_interrupted(&result, options.journal.as_deref(), streaming);
@@ -992,14 +960,12 @@ fn load_java_dir(dir: &Path) -> Result<Vec<mopfuzzer::Seed>, String> {
 /// plus the wall-clock elapsed since the session was installed.
 fn trace_meta(
     jobs: usize,
-    oracle_jobs: usize,
     rounds: usize,
     rng_seed: u64,
     started: std::time::Instant,
 ) -> Vec<(&'static str, String)> {
     vec![
         ("jobs", jobs.to_string()),
-        ("oracle_jobs", oracle_jobs.to_string()),
         ("rounds", rounds.to_string()),
         ("rng_seed", rng_seed.to_string()),
         ("campaign_wall_ns", started.elapsed().as_nanos().to_string()),
@@ -1027,28 +993,13 @@ fn run_resume(journal: &Path, options: &CliOptions) -> Result<(), String> {
     let started = std::time::Instant::now();
     let observer = sink.as_mut().map(|s| s as &mut dyn CampaignObserver);
     let jobs = options.jobs.unwrap_or_else(default_jobs);
-    let oracle_jobs = options
-        .oracle_jobs
-        .unwrap_or_else(|| default_oracle_jobs(jobs));
-    let result = resume_campaign_extended(
-        journal,
-        options.rounds,
-        Some(jobs),
-        Some(oracle_jobs),
-        observer,
-    )?;
+    let result = resume_campaign_extended(journal, options.rounds, Some(jobs), observer)?;
     if let Some(sink) = &sink {
         sink.finish();
     }
     finish_telemetry(
         options,
-        &trace_meta(
-            jobs,
-            oracle_jobs,
-            options.rounds.unwrap_or(0),
-            options.rng,
-            started,
-        ),
+        &trace_meta(jobs, options.rounds.unwrap_or(0), options.rng, started),
     )?;
     print_campaign_summary(&result, streaming);
     maybe_print_interrupted(&result, Some(journal), streaming);
@@ -1200,15 +1151,7 @@ fn run(options: &CliOptions) -> Result<(), String> {
             )?;
             format!("CRASH {} in {}", crash.bug_id, crash.component.label())
         } else {
-            // Plain mode has no round-level workers, so by default the
-            // oracle may fan out across every hardware thread.
-            let oracle_jobs = options.oracle_jobs.unwrap_or_else(default_jobs);
-            let diff = differential_jobs(
-                &outcome.final_mutant,
-                &options.jdks,
-                &RunOptions::fuzzing(),
-                oracle_jobs,
-            );
+            let diff = differential(&outcome.final_mutant, &options.jdks, &RunOptions::fuzzing());
             match diff.verdict {
                 OracleVerdict::Pass => "pass".to_string(),
                 OracleVerdict::Inconclusive(reason) => format!("inconclusive: {reason}"),

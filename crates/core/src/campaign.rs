@@ -44,13 +44,6 @@ pub struct CampaignConfig {
     /// round order (see `supervisor`), so `jobs` buys wall-clock time
     /// only. Not journaled — a journal resumes at any worker count.
     pub jobs: usize,
-    /// Concurrent JVM executions inside each differential round
-    /// (`--oracle-jobs`; 1 = the classic serial pool loop). Shares one
-    /// process-wide worker pool with `jobs`, so the two multiply coverage
-    /// of the pipeline without oversubscribing threads. Like `jobs`, any
-    /// value is bit-identical (see [`crate::oracle::differential_jobs`])
-    /// and it is not journaled.
-    pub oracle_jobs: usize,
 }
 
 impl CampaignConfig {
@@ -65,10 +58,15 @@ impl CampaignConfig {
             supervisor: SupervisorConfig::default(),
             fault: None,
             jobs: 1,
-            oracle_jobs: 1,
         }
     }
 }
+
+/// The error for the removed `--oracle-jobs` option (daemon spec field
+/// `oracle_jobs`): the differential oracle runs the pool serially, and
+/// `--jobs` is the one parallelism knob.
+pub const ORACLE_JOBS_REMOVED: &str = "--oracle-jobs (spec field \"oracle_jobs\") was removed: \
+     the differential oracle runs the pool serially; use --jobs to run rounds in parallel";
 
 /// One deduplicated bug discovery.
 #[derive(Debug, Clone, PartialEq)]
@@ -422,7 +420,7 @@ pub fn run_corpus_campaign_with(
 /// execution share one accounting code path. A truncated trailing line
 /// (killed mid-write) is dropped and its round re-executed.
 pub fn resume_campaign(path: &Path) -> Result<CampaignResult, String> {
-    resume_campaign_extended(path, None, None, None, None)
+    resume_campaign_extended(path, None, None, None)
 }
 
 /// [`resume_campaign`] that can also *extend* a finished campaign: when
@@ -432,23 +430,18 @@ pub fn resume_campaign(path: &Path) -> Result<CampaignResult, String> {
 /// below the number of already-journaled rounds is an error — those rounds
 /// happened and cannot be unhappened.
 ///
-/// `jobs_override` and `oracle_jobs_override` pick the round- and
-/// oracle-level worker counts for the remaining live rounds; the journal
-/// records neither (any combination yields identical output).
+/// `jobs_override` picks the worker count for the remaining live rounds;
+/// the journal does not record it (any count yields identical output).
 pub fn resume_campaign_extended(
     path: &Path,
     rounds_override: Option<usize>,
     jobs_override: Option<usize>,
-    oracle_jobs_override: Option<usize>,
     observer: Option<&mut dyn CampaignObserver>,
 ) -> Result<CampaignResult, String> {
     let contents = journal::read_journal(path)?;
     let mut config = contents.config;
     if let Some(jobs) = jobs_override {
         config.jobs = jobs.max(1);
-    }
-    if let Some(oracle_jobs) = oracle_jobs_override {
-        config.oracle_jobs = oracle_jobs.max(1);
     }
     if let Some(rounds) = rounds_override {
         if rounds < contents.records.len() {

@@ -1061,11 +1061,9 @@ fn decode_header(line: &str) -> Result<Header, String> {
         rng_seed: req_u64(&v, "rng_seed")?,
         supervisor,
         fault,
-        // Worker counts are execution details, not campaign identity: a
-        // journal written at any --jobs/--oracle-jobs replays and resumes
-        // at any other combination.
+        // The worker count is an execution detail, not campaign identity:
+        // a journal written at any --jobs replays and resumes at any other.
         jobs: 1,
-        oracle_jobs: 1,
     };
     Ok((config, seeds, corpus))
 }

@@ -16,9 +16,8 @@
 //!   containment, bounded retries, quarantine, and budgets;
 //! * [`journal`] — JSONL checkpoints making campaigns resumable with
 //!   bit-identical results;
-//! * `pool` (internal) — the process-wide work pool shared by the
-//!   round-level engine (`--jobs`) and the intra-round differential
-//!   oracle (`--oracle-jobs`);
+//! * `pool` (internal) — the process-wide work pool that runs the
+//!   round-level engine's (`--jobs`) speculative rounds;
 //! * [`variant`] — the §4.4 ablations (`MopFuzzer_g`, `MopFuzzer_r`);
 //! * [`corpus`] — built-in and generated regression-test-style seeds;
 //! * [`stats`] — Table 5 mutator/pair ratios and Figure 1 trajectories.
@@ -55,7 +54,7 @@ pub use campaign::{
     resume_campaign, resume_campaign_extended, run_campaign, run_campaign_observed,
     run_campaign_with_journal, run_campaign_with_journal_observed, run_corpus_campaign,
     run_corpus_campaign_with, CampaignConfig, CampaignObserver, CampaignResult, CorpusOptions,
-    FoundBug,
+    FoundBug, ORACLE_JOBS_REMOVED,
 };
 pub use corpus::{import_seeds, seeds_from_store, ImportOutcome, Seed};
 pub use fuzzer::{fuzz, FuzzConfig, FuzzOutcome, IterationRecord, WeightScheme};
@@ -64,6 +63,8 @@ pub use journal::{
     JournalWriter, PromotionReason, PromotionRecord, RoundRecord,
 };
 pub use mutators::{all_mutators, Mutation, Mutator, MutatorKind};
-pub use oracle::{differential, differential_jobs, DifferentialResult, OracleVerdict};
+#[doc(hidden)]
+pub use oracle::differential_jobs;
+pub use oracle::{differential, DifferentialResult, OracleVerdict};
 pub use supervisor::{BudgetKind, Quarantine, RoundError, RoundFailure, SupervisorConfig};
 pub use variant::Variant;

@@ -1,49 +1,9 @@
 //! Test oracles (paper §3.5): crash detection and differential testing
 //! across the JVM pool.
-//!
-//! # Oracle parallelism
-//!
-//! [`differential_jobs`] farms the pool executions onto the process-wide
-//! work pool ([`crate::pool`]) and then **merges in canonical pool
-//! order**, replaying every observable side effect on the calling thread
-//! exactly as the serial loop would have produced it:
-//!
-//! * each task's flight-recorder stream (the `vm_execution` span open
-//!   plus any optimizer-phase spans) is re-emitted at the same
-//!   simulated-work timestamp (each task runs under
-//!   [`jtelemetry::work::isolated`], and the merge credits each run's
-//!   work in pool order, so the meter reads the same value the serial
-//!   loop would have seen — the work meter only advances at execution
-//!   completion, so every in-run event shares one timestamp);
-//! * each task's counters and span histograms are captured in a private
-//!   session and absorbed in merge order;
-//! * the crash early-exit becomes "first crash in pool order wins":
-//!   speculative results past that index are dropped *before* their
-//!   telemetry is absorbed, so counters match a serial loop that never
-//!   ran them. Two guards keep that speculation from costing CPU a
-//!   crash-heavy fuzzing workload cannot spare: pool index 0 runs as an
-//!   inline **pilot probe** on the caller before anything is scattered
-//!   (a first-JVM crash — the dominant early-exit — therefore stays at
-//!   exactly serial cost), and once any task observes a crash, tasks
-//!   claimed at higher pool indices **skip execution outright** (the
-//!   merge provably never reads those slots);
-//! * a panic (fault injection) at pool index `i` is resumed on the
-//!   calling thread at merge index `i` — after absorbing the partial
-//!   span the unwinding task recorded, and only if no earlier JVM
-//!   crashed — so the supervisor's containment and classification see
-//!   the identical unwind the serial loop raises.
-//!
-//! The result: verdicts, culprit sets, `Inconclusive` messages, merged
-//! coverage, journals, and telemetry totals are bit-identical at any
-//! `--oracle-jobs`.
 
-use crate::pool;
 use jvmsim::{CoverageMap, CrashReport, JvmRun, JvmSpec, RunOptions, Verdict as JvmVerdict};
 use mjava::Program;
-use std::any::Any;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// The oracle's verdict on one test case.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,73 +53,32 @@ pub struct DifferentialResult {
     pub steps: u64,
 }
 
-/// Accumulates pool runs in canonical order — shared by the serial loop
-/// and the parallel merge so they cannot drift apart.
-struct Accumulator {
-    coverage: CoverageMap,
-    executions: u64,
-    steps: u64,
-    runs: Vec<JvmRun>,
-    /// Code-cache keys seen so far this differential call (merge order).
-    code_seen: HashSet<u64>,
-    /// Pipeline-memo keys seen so far this differential call.
-    pipeline_seen: HashSet<u64>,
-}
-
-impl Accumulator {
-    fn new() -> Accumulator {
-        Accumulator {
-            coverage: CoverageMap::new(),
-            executions: 0,
-            steps: 0,
-            runs: Vec::new(),
-            code_seen: HashSet::new(),
-            pipeline_seen: HashSet::new(),
-        }
-    }
-
-    /// Counts this run's cache lookups against the keys already seen this
-    /// differential call, in canonical merge order. The process-wide
-    /// caches are warmed in scheduling order (speculative pool executions
-    /// included), so their live hit rates depend on worker count — but
-    /// each run's *lookup keys* are a pure function of the execution, so
-    /// replaying them against merge-order seen-sets yields counters that
-    /// are bit-identical at any `--jobs`×`--oracle-jobs`.
-    fn count_cache_lookups(&mut self, run: &JvmRun) {
-        let mut tally = [0u64; 4]; // code hit/miss, pipeline hit/miss
-        for &key in &run.cache_log.code {
-            let hit = !self.code_seen.insert(key);
-            tally[usize::from(!hit)] += 1;
-        }
-        for &key in &run.cache_log.pipeline {
-            let hit = !self.pipeline_seen.insert(key);
-            tally[2 + usize::from(!hit)] += 1;
-        }
-        let counters = [
-            jtelemetry::Counter::CodeCacheHits,
-            jtelemetry::Counter::CodeCacheMisses,
-            jtelemetry::Counter::PipelineCacheHits,
-            jtelemetry::Counter::PipelineCacheMisses,
-        ];
-        for (counter, n) in counters.into_iter().zip(tally) {
-            if n > 0 {
-                jtelemetry::count(counter, n);
-            }
-        }
-        if run.cache_log.inlined > 0 {
-            jtelemetry::count(jtelemetry::Counter::LeafCallsInlined, run.cache_log.inlined);
-        }
-    }
-
-    /// Folds in the next run (in pool order). Returns the early-exit
-    /// result when this run crashed the compiler.
-    fn push(&mut self, run: JvmRun) -> Option<DifferentialResult> {
-        self.executions += 1;
-        self.steps += run.steps;
-        self.coverage.merge(&run.coverage);
+/// Runs `program` on every JVM in `pool`, in pool order, and compares
+/// observable behaviour (§3.5: the LTS versions and mainline of both
+/// families). The first compiler crash ends the loop: later JVMs never run.
+pub fn differential(
+    program: &Program,
+    pool: &[JvmSpec],
+    options: &RunOptions,
+) -> DifferentialResult {
+    let mut coverage = CoverageMap::new();
+    let (mut executions, mut steps) = (0, 0);
+    let mut runs: Vec<JvmRun> = Vec::new();
+    // Code-cache and pipeline-memo keys seen so far this call.
+    let (mut code_seen, mut pipeline_seen) = (HashSet::new(), HashSet::new());
+    // One class-loading pass for the whole pool: every JVM executes the
+    // same program, so the image (and its load-time method lowering) is
+    // built once. Each run still gets its own mutable clone to install
+    // JIT code into.
+    let image = jexec::Image::build(program);
+    for spec in pool {
+        let run = jvmsim::run_jvm_with_image(program, Some(image.clone()), spec, options);
+        executions += 1;
+        steps += run.steps;
+        coverage.merge(&run.coverage);
         // Before the crash early-exit: the crashing run's lookups happened.
         if jtelemetry::enabled() {
-            self.count_cache_lookups(&run);
+            count_cache_lookups(&run, &mut code_seen, &mut pipeline_seen);
         }
         if let JvmVerdict::CompilerCrash(report) = &run.verdict {
             if jtelemetry::enabled() {
@@ -177,227 +96,110 @@ impl Accumulator {
                     ]
                 });
             }
-            return Some(DifferentialResult {
+            return DifferentialResult {
                 verdict: OracleVerdict::Crash {
                     jvm: run.jvm.clone(),
                     report: report.clone(),
                 },
-                coverage: std::mem::take(&mut self.coverage),
-                executions: self.executions,
-                steps: self.steps,
-            });
-        }
-        self.runs.push(run);
-        None
-    }
-
-    /// All JVMs completed: compare observable behaviour.
-    fn finish(self, pool_len: usize) -> DifferentialResult {
-        let mut outputs: Vec<(String, Vec<String>)> = Vec::new();
-        let mut culprits: Vec<String> = Vec::new();
-        for run in &self.runs {
-            if let Some(obs) = run.observable() {
-                outputs.push((run.jvm.clone(), obs));
-                culprits.extend(run.miscompiled_by.iter().cloned());
-            }
-        }
-        culprits.sort();
-        culprits.dedup();
-        let verdict = if outputs.len() < 2 {
-            OracleVerdict::Inconclusive(format!(
-                "only {} of {} JVMs produced comparable output",
-                outputs.len(),
-                pool_len
-            ))
-        } else if outputs.iter().all(|(_, o)| o == &outputs[0].1) {
-            OracleVerdict::Pass
-        } else {
-            OracleVerdict::Miscompile { outputs, culprits }
-        };
-        if jtelemetry::enabled() {
-            let (counter, label) = match &verdict {
-                OracleVerdict::Pass => (jtelemetry::Counter::OraclePass, "pass"),
-                OracleVerdict::Miscompile { .. } => {
-                    (jtelemetry::Counter::OracleMiscompile, "miscompile")
-                }
-                OracleVerdict::Inconclusive(_) => {
-                    (jtelemetry::Counter::OracleInconclusive, "inconclusive")
-                }
-                OracleVerdict::Crash { .. } => unreachable!("crash returns early"),
+                coverage,
+                executions,
+                steps,
             };
-            jtelemetry::count(counter, 1);
-            jtelemetry::flight(jtelemetry::FlightKind::Oracle, label, String::new());
-            jtelemetry::trace_instant("verdict", || vec![("kind", label.to_string())]);
         }
-        DifferentialResult {
-            verdict,
-            coverage: self.coverage,
-            executions: self.executions,
-            steps: self.steps,
+        runs.push(run);
+    }
+
+    // All JVMs completed: compare observable behaviour.
+    let mut outputs: Vec<(String, Vec<String>)> = Vec::new();
+    let mut culprits: Vec<String> = Vec::new();
+    for run in &runs {
+        if let Some(obs) = run.observable() {
+            outputs.push((run.jvm.clone(), obs));
+            culprits.extend(run.miscompiled_by.iter().cloned());
         }
+    }
+    culprits.sort();
+    culprits.dedup();
+    let verdict = if outputs.len() < 2 {
+        OracleVerdict::Inconclusive(format!(
+            "only {} of {} JVMs produced comparable output",
+            outputs.len(),
+            pool.len()
+        ))
+    } else if outputs.iter().all(|(_, o)| o == &outputs[0].1) {
+        OracleVerdict::Pass
+    } else {
+        OracleVerdict::Miscompile { outputs, culprits }
+    };
+    if jtelemetry::enabled() {
+        let (counter, label) = match &verdict {
+            OracleVerdict::Pass => (jtelemetry::Counter::OraclePass, "pass"),
+            OracleVerdict::Miscompile { .. } => {
+                (jtelemetry::Counter::OracleMiscompile, "miscompile")
+            }
+            OracleVerdict::Inconclusive(_) => {
+                (jtelemetry::Counter::OracleInconclusive, "inconclusive")
+            }
+            OracleVerdict::Crash { .. } => unreachable!("crash returns early"),
+        };
+        jtelemetry::count(counter, 1);
+        jtelemetry::flight(jtelemetry::FlightKind::Oracle, label, String::new());
+        jtelemetry::trace_instant("verdict", || vec![("kind", label.to_string())]);
+    }
+    DifferentialResult {
+        verdict,
+        coverage,
+        executions,
+        steps,
     }
 }
 
-/// Runs `program` on every JVM in `pool` and compares observable
-/// behaviour (§3.5: the LTS versions and mainline of both families).
-pub fn differential(
-    program: &Program,
-    pool: &[JvmSpec],
-    options: &RunOptions,
-) -> DifferentialResult {
-    differential_jobs(program, pool, options, 1)
+/// Counts one run's cache lookups against the code-cache and
+/// pipeline-memo keys already seen this differential call. The
+/// process-wide caches are warmed in scheduling order (rounds speculated
+/// by `--jobs` workers included), so their live hit rates depend on
+/// worker count — but each run's *lookup keys* are a pure function of
+/// the execution, so replaying them against per-call seen-sets yields
+/// counters that are bit-identical at any `--jobs`.
+fn count_cache_lookups(
+    run: &JvmRun,
+    code_seen: &mut HashSet<u64>,
+    pipeline_seen: &mut HashSet<u64>,
+) {
+    let mut tally = [0u64; 4]; // code hit/miss, pipeline hit/miss
+    for &key in &run.cache_log.code {
+        let hit = !code_seen.insert(key);
+        tally[usize::from(!hit)] += 1;
+    }
+    for &key in &run.cache_log.pipeline {
+        let hit = !pipeline_seen.insert(key);
+        tally[2 + usize::from(!hit)] += 1;
+    }
+    let counters = [
+        jtelemetry::Counter::CodeCacheHits,
+        jtelemetry::Counter::CodeCacheMisses,
+        jtelemetry::Counter::PipelineCacheHits,
+        jtelemetry::Counter::PipelineCacheMisses,
+    ];
+    for (counter, n) in counters.into_iter().zip(tally) {
+        if n > 0 {
+            jtelemetry::count(counter, n);
+        }
+    }
+    if run.cache_log.inlined > 0 {
+        jtelemetry::count(jtelemetry::Counter::LeafCallsInlined, run.cache_log.inlined);
+    }
 }
 
-/// [`differential`] with up to `jobs` pool executions in flight at once
-/// (`--oracle-jobs`). `jobs <= 1` is exactly the serial loop; any other
-/// value produces bit-identical results via the canonical-order merge
-/// described in the module docs.
+/// Forwards to [`differential`]; `jobs` is ignored.
+#[doc(hidden)]
 pub fn differential_jobs(
     program: &Program,
     pool: &[JvmSpec],
     options: &RunOptions,
-    jobs: usize,
+    _jobs: usize,
 ) -> DifferentialResult {
-    let mut accum = Accumulator::new();
-    // One class-loading pass for the whole pool: every JVM executes the
-    // same program, so the image (and its load-time method lowering) is
-    // built once, here on the caller thread — `MethodsLowered` counts it
-    // once regardless of worker count. Each run still gets its own
-    // mutable clone to install JIT code into.
-    let image = Arc::new(jexec::Image::build(program));
-    if jobs <= 1 || pool.len() <= 1 {
-        for spec in pool {
-            let run = jvmsim::run_jvm_with_image(program, Some((*image).clone()), spec, options);
-            if let Some(result) = accum.push(run) {
-                return result;
-            }
-        }
-        return accum.finish(pool.len());
-    }
-
-    // Pilot probe: run pool index 0 inline, exactly as the serial loop
-    // would — directly on this thread, telemetry landing natively. On a
-    // fuzzing workload the dominant early-exit is a compiler crash on
-    // the *first* JVM, and probing it before fanning out keeps that case
-    // at serial cost instead of paying for seven speculative executions
-    // the merge would immediately discard.
-    let run = jvmsim::run_jvm_with_image(program, Some((*image).clone()), &pool[0], options);
-    if let Some(result) = accum.push(run) {
-        return result;
-    }
-
-    for slot in execute_pool(program, &image, &pool[1..], options, jobs) {
-        // A cancelled slot can only sit *behind* the first crash in pool
-        // order, and `accum.push` returns before this loop reaches it.
-        let (caught, snap, flight, trace) =
-            slot.expect("merge consumed a task cancelled by an earlier crash");
-        // Replay the side effects `run_jvm` would have had on this
-        // thread, in this order: the flight events first (their serial
-        // timestamp is the work meter *before* this run), then the
-        // task's counters and span histograms, then its trace spans
-        // (re-parented under this thread's open span at the pre-run work
-        // meter — exactly where the serial loop would have opened them),
-        // then the work credit.
-        for event in flight {
-            jtelemetry::flight(event.kind, event.label, event.detail);
-        }
-        if let Some(snap) = &snap {
-            jtelemetry::absorb(snap);
-        }
-        jtelemetry::absorb_trace(&trace);
-        let run = match caught {
-            Ok(run) => run,
-            // An injected VM panic: re-raise it at its canonical pool
-            // position so the supervisor's containment sees the serial
-            // unwind. No work is credited — the execution never completed.
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        jtelemetry::work::add(run.steps, 1);
-        if let Some(result) = accum.push(run) {
-            // First crash in pool order wins; the remaining speculative
-            // results drop here, their telemetry never absorbed.
-            return result;
-        }
-    }
-    debug_assert_eq!(accum.runs.len(), pool.len());
-    accum.finish(pool.len())
-}
-
-/// One task's outcome: the run (or its panic payload) plus the telemetry
-/// it accrued in its private session — counters/spans as a snapshot, the
-/// flight events for in-order replay, and the trace spans for in-order
-/// absorption.
-type TaskOutput = (
-    Result<JvmRun, Box<dyn Any + Send>>,
-    Option<jtelemetry::MetricsSnapshot>,
-    Vec<jtelemetry::FlightEvent>,
-    Vec<jtelemetry::TraceEvent>,
-);
-
-/// Scatters the pool executions across the shared worker pool. Each task
-/// is hermetic: its work-meter credits roll back, its telemetry lands in
-/// a fresh private session (returned as a snapshot), and its panics are
-/// caught and returned as payloads — whichever thread runs it, including
-/// the calling thread itself, observes no effects.
-///
-/// Crash cancellation: the merge drops everything past the first crash
-/// in pool order, so once some task has observed a compiler crash at
-/// index `c`, a task claimed at index `> c` returns `None` without
-/// executing — the serial loop would never have run it either. The
-/// cancelled slots are exactly a suffix of what the merge discards, so
-/// results stay bit-identical while a crash-heavy workload keeps close
-/// to serial cost instead of paying for the whole speculative pool.
-fn execute_pool(
-    program: &Program,
-    image: &Arc<Result<jexec::Image, jexec::BuildError>>,
-    pool: &[JvmSpec],
-    options: &RunOptions,
-    jobs: usize,
-) -> Vec<Option<TaskOutput>> {
-    // Workers inherit the calling session's shape (clock mode, tracing,
-    // profiling) so their private sessions record the same event classes
-    // the serial loop would have.
-    let spec = jtelemetry::session_spec();
-    let program = program.clone();
-    let image = Arc::clone(image);
-    let options = options.clone();
-    let crash_floor = AtomicUsize::new(usize::MAX);
-    // The round's cancellation token is installed on the *calling* thread;
-    // capture it here and re-install it inside each task so the watchdog
-    // reaches executions running on pool threads too.
-    let cancel = jtelemetry::cancel::current();
-    pool::scatter(pool.to_vec(), jobs, move |index, spec_jvm: JvmSpec| {
-        if index > crash_floor.load(Ordering::Relaxed) {
-            return None;
-        }
-        let _cancel_guard = cancel.as_ref().map(jtelemetry::cancel::install);
-        Some(jtelemetry::work::isolated(|| {
-            let saved = jtelemetry::take();
-            if let Some(spec) = spec {
-                jtelemetry::install(jtelemetry::Session::from_spec(spec));
-            }
-            let caught = pool::quiet_catch_unwind(|| {
-                jvmsim::run_jvm_with_image(&program, Some((*image).clone()), &spec_jvm, &options)
-            });
-            if let Ok(run) = &caught {
-                if matches!(run.verdict, JvmVerdict::CompilerCrash(_)) {
-                    crash_floor.fetch_min(index, Ordering::Relaxed);
-                }
-            }
-            let flight = jtelemetry::flight_snapshot();
-            let (snap, trace) = match jtelemetry::take() {
-                Some(mut session) => {
-                    let trace = session.take_trace();
-                    (Some(session.snapshot()), trace)
-                }
-                None => (None, Vec::new()),
-            };
-            if let Some(session) = saved {
-                jtelemetry::install(session);
-            }
-            (caught, snap, flight, trace)
-        }))
-    })
+    differential(program, pool, options)
 }
 
 #[cfg(test)]
@@ -479,68 +281,5 @@ mod tests {
             culprits: vec![]
         }
         .is_bug());
-    }
-
-    #[test]
-    fn parallel_oracle_matches_serial_on_all_seeds() {
-        for seed in mjava::samples::all_seeds() {
-            let serial = differential(&seed.program, &pool(), &RunOptions::fuzzing());
-            for jobs in [2, 4, 8] {
-                let parallel =
-                    differential_jobs(&seed.program, &pool(), &RunOptions::fuzzing(), jobs);
-                assert_eq!(serial, parallel, "seed {} at oracle-jobs {jobs}", seed.name);
-            }
-        }
-    }
-
-    /// Crash cancellation must be invisible: fuzz until a mutant crashes
-    /// some JVM in the pool, then check the parallel oracle (which skips
-    /// the speculative suffix behind the crash) still returns exactly
-    /// the serial result.
-    #[test]
-    fn parallel_oracle_matches_serial_on_a_crashing_mutant() {
-        use crate::fuzzer::{fuzz, FuzzConfig};
-        let pool = pool();
-        let mut checked = 0;
-        for (i, seed) in mjava::samples::all_seeds().iter().enumerate() {
-            let config = FuzzConfig {
-                max_iterations: 20,
-                rng_seed: 0xc4a5 + i as u64,
-                ..FuzzConfig::new(pool[i % pool.len()].clone())
-            };
-            let mutant = fuzz(&seed.program, &config).final_mutant;
-            let serial = differential(&mutant, &pool, &RunOptions::fuzzing());
-            if !matches!(serial.verdict, OracleVerdict::Crash { .. }) {
-                continue;
-            }
-            checked += 1;
-            for jobs in [2, 8] {
-                let parallel = differential_jobs(&mutant, &pool, &RunOptions::fuzzing(), jobs);
-                assert_eq!(serial, parallel, "seed {} at oracle-jobs {jobs}", seed.name);
-            }
-        }
-        assert!(
-            checked > 0,
-            "no fuzzed mutant crashed; strengthen the config"
-        );
-    }
-
-    #[test]
-    fn parallel_oracle_replays_work_in_pool_order() {
-        let seed = &mjava::samples::all_seeds()[0];
-        let before = jtelemetry::work::totals();
-        let serial = differential(&seed.program, &pool(), &RunOptions::fuzzing());
-        let after_serial = jtelemetry::work::totals();
-        let parallel = differential_jobs(&seed.program, &pool(), &RunOptions::fuzzing(), 4);
-        let after_parallel = jtelemetry::work::totals();
-        assert_eq!(serial, parallel);
-        // The merge credits exactly the serial loop's work on this thread.
-        assert_eq!(
-            (after_serial.0 - before.0, after_serial.1 - before.1),
-            (
-                after_parallel.0 - after_serial.0,
-                after_parallel.1 - after_serial.1
-            )
-        );
     }
 }

@@ -1,39 +1,19 @@
-//! The process-wide work pool shared by the round-level campaign engine
-//! (`--jobs`) and the intra-round differential oracle (`--oracle-jobs`).
+//! The process-wide work pool that runs the round-level campaign
+//! engine's (`--jobs`) speculative rounds.
 //!
 //! One pool per process is the oversubscription guard: however many
-//! campaigns, rounds and oracle scatters are in flight, the number of
-//! pool threads never exceeds the largest capacity any of them asked
-//! for — `--jobs N` and `--oracle-jobs M` share workers instead of
-//! multiplying them.
-//!
-//! Two usage patterns:
-//!
-//! * [`submit`] — fire-and-forget jobs with their own result channel
-//!   (the round engine ships [`crate::supervisor`] worker tasks this
-//!   way and merges outputs in strict round order);
-//! * [`scatter`] — fork/join over a task list with **caller
-//!   participation**: the calling thread claims tasks alongside the
-//!   pool, so a scatter always makes progress even when every pool
-//!   thread is busy (or the pool has no threads at all). The pool is an
-//!   accelerator, never a dependency — which is what makes sharing it
-//!   between the round engine and the oracle deadlock-free by
-//!   construction.
-//!
-//! Scatter tickets are queued *ahead* of round jobs: an oracle scatter
-//! is small and unblocks a round already holding a worker, so helping
-//! it first shortens the pipeline instead of lengthening it.
-//!
-//! Determinism: the pool moves work between threads but never reorders
-//! observable effects. Scatter results are gathered by task index, and
-//! every caller replays side effects (telemetry, work-meter credits) in
-//! canonical order on its own thread — see [`crate::oracle`].
+//! campaigns are in flight (the daemon runs one per tenant), the number
+//! of pool threads never exceeds the largest capacity any of them asked
+//! for. Jobs carry their own result channel; the round engine ships
+//! [`crate::supervisor`] worker tasks here and merges their outputs in
+//! strict round order, so the pool moves work between threads but never
+//! reorders observable effects.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
+use std::sync::{Condvar, Mutex, Once, OnceLock};
 
 thread_local! {
     static SUPPRESS_PANIC_OUTPUT: Cell<bool> = const { Cell::new(false) };
@@ -43,8 +23,7 @@ static PANIC_HOOK: Once = Once::new();
 /// Runs `f` inside a panic boundary with the default panic hook silenced
 /// on this thread for the duration (the process-wide hook is wrapped
 /// once; other threads keep reporting normally). The previous suppression
-/// state is restored afterwards, so nesting — an oracle task contained
-/// inside an already-contained round — behaves.
+/// state is restored afterwards, so nested boundaries behave.
 pub(crate) fn quiet_catch_unwind<T>(f: impl FnOnce() -> T) -> Result<T, Box<dyn Any + Send>> {
     PANIC_HOOK.call_once(|| {
         let previous = panic::take_hook();
@@ -97,30 +76,17 @@ pub(crate) fn shared() -> &'static WorkPool {
 
 impl WorkPool {
     /// Raises the thread ceiling to at least `n`. Capacities from
-    /// different subsystems take the max, not the sum — that is the
+    /// different campaigns take the max, not the sum — that is the
     /// no-oversubscription contract.
     pub(crate) fn ensure_capacity(&self, n: usize) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.capacity = state.capacity.max(n);
     }
 
-    /// Enqueues a job at the back of the queue (round-engine work).
+    /// Enqueues a job at the back of the queue.
     pub(crate) fn submit(&self, job: Job) {
-        self.push(job, false);
-    }
-
-    /// Enqueues a job at the front of the queue (scatter tickets).
-    fn submit_front(&self, job: Job) {
-        self.push(job, true);
-    }
-
-    fn push(&self, job: Job, front: bool) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if front {
-            state.queue.push_front(job);
-        } else {
-            state.queue.push_back(job);
-        }
+        state.queue.push_back(job);
         if state.idle > 0 {
             self.work_ready.notify_one();
         } else if state.threads < state.capacity {
@@ -154,148 +120,9 @@ impl WorkPool {
     }
 }
 
-/// Shared fork/join state for one [`scatter`] call.
-struct Scatter<I, T, F> {
-    inputs: Vec<Mutex<Option<I>>>,
-    cursor: Mutex<usize>,
-    results: Mutex<Vec<Option<T>>>,
-    done: Condvar,
-    finished: Mutex<usize>,
-    run: F,
-}
-
-impl<I, T, F: Fn(usize, I) -> T> Scatter<I, T, F> {
-    /// Claims and runs tasks until none remain. Panics escaping `run`
-    /// still mark the slot finished (empty), so the gathering caller can
-    /// fail loudly instead of deadlocking.
-    fn work(&self) {
-        loop {
-            let index = {
-                let mut cursor = self.cursor.lock().unwrap_or_else(|e| e.into_inner());
-                if *cursor >= self.inputs.len() {
-                    return;
-                }
-                let i = *cursor;
-                *cursor += 1;
-                i
-            };
-            let input = self.inputs[index]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("each scatter task is claimed once");
-            let result = quiet_catch_unwind(|| (self.run)(index, input));
-            let mut results = self.results.lock().unwrap_or_else(|e| e.into_inner());
-            if let Ok(value) = result {
-                results[index] = Some(value);
-            }
-            drop(results);
-            let mut finished = self.finished.lock().unwrap_or_else(|e| e.into_inner());
-            *finished += 1;
-            if *finished == self.inputs.len() {
-                self.done.notify_all();
-            }
-        }
-    }
-}
-
-/// Runs `run` over every input and returns the results in input order.
-///
-/// `workers` is the total concurrency *including the caller*: up to
-/// `workers - 1` pool tickets are queued, and the calling thread claims
-/// tasks itself until the list is empty, then blocks only for tasks
-/// other threads already claimed. `workers <= 1` degenerates to a plain
-/// in-order loop on the caller with no pool interaction at all.
-///
-/// `run` must confine its observable side effects to its return value
-/// (or roll them back, e.g. via [`jtelemetry::work::isolated`]): tasks
-/// execute on arbitrary threads in arbitrary order, and callers are
-/// expected to replay effects at gather time in canonical order. A task
-/// that panics out of `run` panics the scatter at gather time.
-pub(crate) fn scatter<I, T, F>(inputs: Vec<I>, workers: usize, run: F) -> Vec<T>
-where
-    I: Send + 'static,
-    T: Send + 'static,
-    F: Fn(usize, I) -> T + Send + Sync + 'static,
-{
-    let n = inputs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if workers <= 1 || n == 1 {
-        return inputs
-            .into_iter()
-            .enumerate()
-            .map(|(i, input)| run(i, input))
-            .collect();
-    }
-    let state = Arc::new(Scatter {
-        inputs: inputs.into_iter().map(|i| Mutex::new(Some(i))).collect(),
-        cursor: Mutex::new(0),
-        results: Mutex::new((0..n).map(|_| None).collect()),
-        done: Condvar::new(),
-        finished: Mutex::new(0),
-        run,
-    });
-    let tickets = (workers - 1).min(n - 1);
-    let pool = shared();
-    pool.ensure_capacity(tickets);
-    for _ in 0..tickets {
-        let ticket = Arc::clone(&state);
-        pool.submit_front(Box::new(move || ticket.work()));
-    }
-    state.work();
-    let mut finished = state.finished.lock().unwrap_or_else(|e| e.into_inner());
-    while *finished < n {
-        finished = state.done.wait(finished).unwrap_or_else(|e| e.into_inner());
-    }
-    drop(finished);
-    let results = std::mem::take(&mut *state.results.lock().unwrap_or_else(|e| e.into_inner()));
-    results
-        .into_iter()
-        .map(|slot| slot.expect("a scatter task panicked; tasks must contain their panics"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scatter_returns_results_in_input_order() {
-        for workers in [1, 2, 4, 9] {
-            let out = scatter((0..17u64).collect(), workers, |i, v| {
-                assert_eq!(i as u64, v);
-                v * 10
-            });
-            assert_eq!(out, (0..17u64).map(|v| v * 10).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn scatter_handles_empty_and_single() {
-        assert!(scatter(Vec::<u8>::new(), 4, |_, v| v).is_empty());
-        assert_eq!(scatter(vec![7u8], 4, |_, v| v), vec![7]);
-    }
-
-    #[test]
-    fn scatter_caller_makes_progress_without_pool_threads() {
-        // workers=2 asks for one ticket; even if no pool thread ever
-        // picks it up, the caller completes every task itself.
-        let out = scatter((0..64u32).collect(), 2, |_, v| v + 1);
-        assert_eq!(out.len(), 64);
-        assert_eq!(out[63], 64);
-    }
-
-    #[test]
-    fn nested_scatter_does_not_deadlock() {
-        let out = scatter((0..4u64).collect(), 4, |_, v| {
-            scatter((0..3u64).collect(), 3, move |_, w| v * 10 + w)
-                .into_iter()
-                .sum::<u64>()
-        });
-        assert_eq!(out, vec![3, 33, 63, 93]);
-    }
 
     #[test]
     fn quiet_catch_unwind_contains_and_restores() {

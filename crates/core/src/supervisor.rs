@@ -31,7 +31,7 @@ use crate::journal::{
     BugSighting, Disposition, JournalWriter, PromotionReason, PromotionRecord, RoundRecord,
 };
 use crate::mutators::MutatorKind;
-use crate::oracle::{differential_jobs, OracleVerdict};
+use crate::oracle::{differential, OracleVerdict};
 use crate::pool;
 use jprofile::Obv;
 use jvmsim::fault::{MUTATOR_PANIC_MARKER, VM_PANIC_MARKER};
@@ -265,11 +265,7 @@ pub(crate) struct CorpusCtx<'a> {
 
 /// Runs `f` inside a panic boundary (see [`pool::quiet_catch_unwind`]:
 /// contained panics stay silent on this thread while panics elsewhere
-/// keep reporting normally) and classifies the payload. A panel JVM that
-/// panicked inside a parallel differential merge is re-raised by
-/// [`crate::oracle::differential_jobs`] at its canonical pool position,
-/// so the payload reaching this boundary — and its classification — is
-/// identical at any `--oracle-jobs`.
+/// keep reporting normally) and classifies the payload.
 fn catch_round<T>(f: impl FnOnce() -> T) -> Result<T, RoundError> {
     pool::quiet_catch_unwind(f).map_err(|payload| classify_panic(payload.as_ref()))
 }
@@ -533,12 +529,7 @@ fn run_attempt(
             let _diff_span = jtelemetry::trace_span("differential", || {
                 vec![("pool", config.pool.len().to_string())]
             });
-            differential_jobs(
-                &outcome.final_mutant,
-                &config.pool,
-                &options,
-                config.oracle_jobs,
-            )
+            differential(&outcome.final_mutant, &config.pool, &options)
         };
         record.diff = Some((diff.executions, diff.steps));
         record.coverage.merge(&diff.coverage);
@@ -653,8 +644,7 @@ fn execute_round(
         });
         let (steps_before, execs_before) = jtelemetry::work::totals();
         // Hang containment: each attempt gets a fresh cancellation token,
-        // installed on this thread (the oracle re-installs it on its pool
-        // threads) and armed on the wall-clock watchdog. Both guards drop
+        // installed on this thread and armed on the wall-clock watchdog. Both guards drop
         // at the end of the iteration, so a retry starts clean.
         let cancel = jtelemetry::cancel::CancelToken::new();
         let _cancel_guard = jtelemetry::cancel::install(&cancel);
@@ -828,12 +818,6 @@ pub(crate) fn run_supervised(
     if (seeds.is_empty() && corpus.is_none()) || config.pool.is_empty() {
         return result;
     }
-    // Fresh execution-substrate caches per campaign: cache contents never
-    // affect results or journaled counters (the oracle derives those from
-    // per-run lookup logs), so this is memory hygiene plus meaningful
-    // per-campaign `cache_stats()` — not a determinism requirement.
-    jexec::threaded::cache_reset();
-    jopt::pipeline::cache_reset();
     if let Some(ctx) = corpus.as_deref_mut() {
         // Pairs quarantined by earlier campaigns over this store stay
         // banned; blocked seeds are also removed from scheduling.
@@ -1162,7 +1146,7 @@ fn run_parallel_rounds(
     let session_spec = jtelemetry::session_spec();
     let window = config.jobs.max(2) * 2;
     // Round jobs go to the shared process-wide pool (capacity is the max
-    // of every subsystem's request, so `--jobs` and `--oracle-jobs` can't
+    // of every campaign's request, so concurrent campaigns can't
     // oversubscribe each other). One config clone serves the campaign.
     let shared_config = Arc::new(config.clone());
     pool::shared().ensure_capacity(config.jobs);

@@ -24,6 +24,121 @@ fn unknown_option_fails_with_usage() {
 }
 
 #[test]
+fn removed_oracle_jobs_flag_points_at_jobs() {
+    let out = bin()
+        .args(["--oracle-jobs", "2", "--rounds", "1"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--jobs"), "{stderr}");
+}
+
+/// The fenced code blocks of README.md and DESIGN.md, with the file each
+/// came from.
+fn doc_code_blocks() -> Vec<(&'static str, String)> {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut blocks = Vec::new();
+    for file in ["README.md", "DESIGN.md"] {
+        let text = std::fs::read_to_string(root.join(file)).expect("doc readable");
+        let mut current: Option<String> = None;
+        for line in text.lines() {
+            if line.trim_start().starts_with("```") {
+                match current.take() {
+                    Some(block) => blocks.push((file, block)),
+                    None => current = Some(String::new()),
+                }
+            } else if let Some(block) = &mut current {
+                block.push_str(line);
+                block.push('\n');
+            }
+        }
+    }
+    blocks
+}
+
+/// True when `text` holds `word` not followed by another word character.
+fn mentions(text: &str, word: &str) -> bool {
+    text.match_indices(word).any(|(at, _)| {
+        !text[at + word.len()..]
+            .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_')
+    })
+}
+
+/// Every `--flag` on a `mopfuzzer` command line in the docs' code blocks
+/// is one `mopfuzzer --help` lists: a documented flag cannot be dead.
+#[test]
+fn documented_flags_are_accepted_by_the_cli() {
+    let out = bin().arg("--help").output().expect("binary runs");
+    let help = String::from_utf8_lossy(&out.stderr);
+    let mut checked = 0;
+    for (file, block) in doc_code_blocks() {
+        for line in block.replace("\\\n", " ").lines() {
+            let code = line.split('#').next().unwrap_or("");
+            let words: Vec<&str> = code.split_whitespace().collect();
+            let Some(at) = words.iter().enumerate().position(|(i, w)| {
+                (*w == "mopfuzzer" || w.ends_with("/mopfuzzer"))
+                    && (i == 0 || !matches!(words[i - 1], "-p" | "--package"))
+            }) else {
+                continue;
+            };
+            for word in &words[at + 1..] {
+                // `serve` hands the rest to mopfuzzerd; shell syntax ends
+                // the command.
+                if matches!(*word, "serve" | "|" | "&&" | ";" | ">" | "2>&1") {
+                    break;
+                }
+                let Some(name) = word.strip_prefix("--").filter(|n| !n.is_empty()) else {
+                    continue;
+                };
+                let flag = format!("--{}", name.split('=').next().unwrap_or(name));
+                assert!(
+                    mentions(&help, &flag),
+                    "{file}: `{flag}` in `{line}` is not in mopfuzzer --help"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 10, "found only {checked} documented flags");
+}
+
+/// Every `MOPFUZZER_*` environment variable the docs name is read
+/// somewhere in the crates' sources.
+#[test]
+fn documented_environment_variables_exist() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut sources = String::new();
+    let mut stack = vec![root.join("crates")];
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                if path.file_name().is_some_and(|n| n != "target") {
+                    stack.push(path);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                sources.push_str(&std::fs::read_to_string(&path).unwrap());
+            }
+        }
+    }
+    let prefix = "MOPFUZZER_";
+    for file in ["README.md", "DESIGN.md"] {
+        let text = std::fs::read_to_string(root.join(file)).unwrap();
+        for (at, _) in text.match_indices(prefix) {
+            let name: String = text[at..]
+                .chars()
+                .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+                .collect();
+            assert!(
+                mentions(&sources, &name),
+                "{file} documents {name}, but no crate reads it"
+            );
+        }
+    }
+}
+
+#[test]
 fn fuzzes_a_project_directory_and_writes_mutants() {
     let dir = std::env::temp_dir().join(format!("mop_cli_{}", std::process::id()));
     let proj = dir.join("proj");
@@ -255,8 +370,6 @@ fn trace_out_writes_a_perfetto_loadable_trace() {
             "--jdk",
             "HotSpur-17,J9-17",
             "--jobs",
-            "2",
-            "--oracle-jobs",
             "2",
             "--profile",
             "--trace-out",
@@ -522,8 +635,6 @@ fn sigint_is_graceful_and_resume_converges_bit_identically() {
             "--jdk".to_string(),
             "HotSpur-17,J9-17".to_string(),
             "--jobs".to_string(),
-            "1".to_string(),
-            "--oracle-jobs".to_string(),
             "1".to_string(),
             "--journal".to_string(),
             journal.to_str().unwrap().to_string(),

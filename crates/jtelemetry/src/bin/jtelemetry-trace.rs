@@ -120,13 +120,9 @@ fn report(trace_text: &str, metrics_text: Option<&str>, top: usize) -> Result<St
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
     out.push_str(&format!(
-        "== trace report ==\nevents: {} (clock: {clock}, jobs: {jobs}",
+        "== trace report ==\nevents: {} (clock: {clock}, jobs: {jobs})\n",
         events.len()
     ));
-    if let Some(oj) = meta_str(&other, "oracle_jobs") {
-        out.push_str(&format!(", oracle-jobs: {oj}"));
-    }
-    out.push_str(")\n");
 
     // --- Per-round critical path -------------------------------------
     let rounds: Vec<&Event> = events

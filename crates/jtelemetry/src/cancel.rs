@@ -76,12 +76,6 @@ impl Drop for Guard {
     }
 }
 
-/// The token currently installed on this thread, if any — the oracle's
-/// scatter tasks re-install it on whichever pool thread runs them.
-pub fn current() -> Option<CancelToken> {
-    CURRENT.with(|c| c.borrow().last().cloned())
-}
-
 /// True when this thread's current token has been cancelled.
 pub fn cancelled() -> bool {
     CURRENT.with(|c| c.borrow().last().is_some_and(CancelToken::is_cancelled))
@@ -102,7 +96,6 @@ mod tests {
     #[test]
     fn no_token_means_never_cancelled() {
         assert!(!cancelled());
-        assert!(current().is_none());
         check("idle"); // must not panic
     }
 
@@ -114,7 +107,6 @@ mod tests {
             assert!(!cancelled());
             token.cancel();
             assert!(cancelled());
-            assert!(current().unwrap().is_cancelled());
         }
         assert!(!cancelled(), "guard drop restores the previous state");
     }

@@ -768,31 +768,6 @@ pub mod work {
     pub fn totals() -> (u64, u64) {
         (STEPS.with(Cell::get), EXECS.with(Cell::get))
     }
-
-    /// Runs `f` with this thread's meter isolated: whatever work `f`
-    /// credits is rolled back when `f` returns (or unwinds). The parallel
-    /// differential oracle executes pool runs under this guard and then
-    /// *replays* each run's work on the merging thread in canonical pool
-    /// order, so meter-derived values (wasted-work deltas, flight-event
-    /// timestamps) are bit-identical to the serial loop no matter which
-    /// thread physically ran which JVM.
-    pub fn isolated<T>(f: impl FnOnce() -> T) -> T {
-        struct Restore {
-            steps: u64,
-            execs: u64,
-        }
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                STEPS.with(|s| s.set(self.steps));
-                EXECS.with(|e| e.set(self.execs));
-            }
-        }
-        let _restore = Restore {
-            steps: STEPS.with(Cell::get),
-            execs: EXECS.with(Cell::get),
-        };
-        f()
-    }
 }
 
 #[cfg(test)]
@@ -923,26 +898,6 @@ mod tests {
         let (s1, e1) = work::totals();
         assert_eq!(s1 - s0, 150);
         assert_eq!(e1 - e0, 3);
-    }
-
-    #[test]
-    fn isolated_work_is_rolled_back() {
-        let before = work::totals();
-        let inner = work::isolated(|| {
-            work::add(500, 3);
-            work::totals()
-        });
-        assert_eq!(inner, (before.0 + 500, before.1 + 3));
-        assert_eq!(work::totals(), before);
-        // Rollback also happens on unwind.
-        let caught = std::panic::catch_unwind(|| {
-            work::isolated(|| {
-                work::add(999, 9);
-                panic!("boom");
-            })
-        });
-        assert!(caught.is_err());
-        assert_eq!(work::totals(), before);
     }
 
     #[test]

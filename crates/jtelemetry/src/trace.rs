@@ -10,7 +10,7 @@
 //!   phases, VM/interpreter runs). Timestamps are *simulated work*
 //!   (interpreter steps from [`crate::work`]), expressed relative to the
 //!   parent span's open point, so the lane is bit-identical at any
-//!   `--jobs`×`--oracle-jobs`: worker-side buffers are folded into the
+//!   `--jobs`: worker-side buffers are folded into the
 //!   coordinator in strict merge order by [`crate::absorb_trace`], which
 //!   renumbers ids from the coordinator's watermark and re-parents orphan
 //!   roots under the coordinator's currently open span — the same

@@ -55,8 +55,7 @@ fn print_usage() {
          \n\
          API:\n\
            POST /campaigns               submit {{\"rounds\":R[,\"seed\":S,\"iterations\":I,\n\
-                                         \"corpus\":DIR,\"jobs\":J,\"oracle_jobs\":K,\n\
-                                         \"round_timeout_ms\":MS]}}\n\
+                                         \"corpus\":DIR,\"jobs\":J,\"round_timeout_ms\":MS]}}\n\
            GET  /campaigns[/{{id}}]        status (state, round progress, bugs, journal)\n\
            POST /campaigns/{{id}}/cancel   stop one campaign at its next round boundary\n\
            GET  /metrics                 Prometheus page: aggregate + per-campaign labels\n\

@@ -104,6 +104,7 @@ pub fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &s
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
     let head = format!(

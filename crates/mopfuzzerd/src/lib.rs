@@ -35,10 +35,15 @@ pub use registry::{
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Connection threads one daemon serves at once. Past the cap the accept
+/// thread answers `503` itself and closes the connection, so a flood of
+/// idle clients costs no more than this many threads.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Daemon configuration (the parsed form of `mopfuzzerd --listen ..
 /// --data-dir .. [--max-active N] [--resume]`).
@@ -148,16 +153,41 @@ impl Drop for Server {
     }
 }
 
+/// One live connection thread; dropping it frees the slot.
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn accept_loop(listener: TcpListener, registry: Arc<Registry>, stop: Arc<AtomicBool>) {
+    let live = Arc::new(AtomicUsize::new(0));
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _)) => {
+            Ok((mut stream, _)) => {
+                // Only this thread takes slots, so the check cannot race.
+                if live.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                    respond(
+                        &mut stream,
+                        503,
+                        "application/json",
+                        "{\"error\":\"too many connections\"}\n",
+                    );
+                    continue;
+                }
+                live.fetch_add(1, Ordering::SeqCst);
+                let slot = ConnectionSlot(live.clone());
                 let registry = registry.clone();
                 // One short-lived thread per request: the control plane
                 // sees a handful of requests per campaign, not traffic.
                 let _ = std::thread::Builder::new()
                     .name("mopfuzzerd-conn".to_string())
-                    .spawn(move || handle_connection(stream, &registry));
+                    .spawn(move || {
+                        let _slot = slot;
+                        handle_connection(stream, &registry)
+                    });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -303,7 +333,7 @@ mod tests {
         let (status, body) = post(
             &registry,
             "/campaigns",
-            "{\"rounds\": 2, \"iterations\": 4, \"jobs\": 1, \"oracle_jobs\": 1}",
+            "{\"rounds\": 2, \"iterations\": 4, \"jobs\": 1}",
         );
         assert_eq!(status, 201, "{body}");
         assert!(body.contains("\"id\":\"c0001\""), "{body}");
@@ -331,12 +361,12 @@ mod tests {
         post(
             &registry,
             "/campaigns",
-            "{\"rounds\": 1, \"iterations\": 2, \"jobs\": 1, \"oracle_jobs\": 1}",
+            "{\"rounds\": 1, \"iterations\": 2, \"jobs\": 1}",
         );
         let (status, body) = post(
             &registry,
             "/campaigns",
-            "{\"rounds\": 30, \"iterations\": 2, \"jobs\": 1, \"oracle_jobs\": 1}",
+            "{\"rounds\": 30, \"iterations\": 2, \"jobs\": 1}",
         );
         assert_eq!(status, 201, "{body}");
         let (status, body) = post(&registry, "/campaigns/c0002/cancel", "");

@@ -52,11 +52,6 @@ fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// `--oracle-jobs` default, mirroring the CLI: leftover threads, min 1.
-fn default_oracle_jobs(jobs: usize) -> usize {
-    default_jobs().saturating_sub(jobs).max(1)
-}
-
 /// One tenant's campaign parameters, resolved to the same defaults the
 /// CLI resolves (that resolution is what the journal-equivalence
 /// guarantee leans on). Serialized fully resolved into `spec.json`.
@@ -72,8 +67,6 @@ pub struct CampaignSpec {
     pub corpus: Option<PathBuf>,
     /// Round-level worker threads (default: all hardware threads).
     pub jobs: usize,
-    /// Oracle worker threads (default: leftover hardware threads, min 1).
-    pub oracle_jobs: usize,
     /// Wall-clock round timeout in milliseconds, if any.
     pub round_timeout_ms: Option<u64>,
 }
@@ -94,15 +87,17 @@ impl CampaignSpec {
         let Json::Obj(map) = &json else {
             return Err("campaign spec must be a JSON object".to_string());
         };
-        const KNOWN: [&str; 7] = [
+        const KNOWN: [&str; 6] = [
             "rounds",
             "seed",
             "iterations",
             "corpus",
             "jobs",
-            "oracle_jobs",
             "round_timeout_ms",
         ];
+        if map.contains_key("oracle_jobs") {
+            return Err(mopfuzzer::ORACLE_JOBS_REMOVED.to_string());
+        }
         for key in map.keys() {
             if !KNOWN.contains(&key.as_str()) {
                 return Err(format!("unknown spec field \"{key}\""));
@@ -123,18 +118,12 @@ impl CampaignSpec {
             Some(jobs) => jobs as usize,
             None => default_jobs(),
         };
-        let oracle_jobs = match field_u64(&json, "oracle_jobs")? {
-            Some(0) => return Err("\"oracle_jobs\" must be >= 1".to_string()),
-            Some(jobs) => jobs as usize,
-            None => default_oracle_jobs(jobs),
-        };
         Ok(CampaignSpec {
             rounds,
             rng_seed: field_u64(&json, "seed")?.unwrap_or(0),
             iterations: field_u64(&json, "iterations")?.unwrap_or(50) as usize,
             corpus,
             jobs,
-            oracle_jobs,
             round_timeout_ms: field_u64(&json, "round_timeout_ms")?,
         })
     }
@@ -151,8 +140,8 @@ impl CampaignSpec {
         };
         format!(
             "{{\"rounds\":{},\"seed\":{},\"iterations\":{},\"corpus\":{corpus},\
-             \"jobs\":{},\"oracle_jobs\":{},\"round_timeout_ms\":{timeout}}}",
-            self.rounds, self.rng_seed, self.iterations, self.jobs, self.oracle_jobs,
+             \"jobs\":{},\"round_timeout_ms\":{timeout}}}",
+            self.rounds, self.rng_seed, self.iterations, self.jobs,
         )
     }
 }
@@ -644,8 +633,8 @@ fn drive(registry: Arc<Registry>, tenant: Arc<Tenant>) {
 }
 
 /// Builds the exact [`CampaignConfig`] the CLI builds for
-/// `mopfuzzer --rounds R --rng S --jobs J --oracle-jobs K
-/// [--iterations I] [--round-timeout MS]`: full guidance, the standard
+/// `mopfuzzer --rounds R --rng S --jobs J [--iterations I]
+/// [--round-timeout MS]`: full guidance, the standard
 /// differential pool, default supervisor policy. Journal equivalence
 /// with a standalone CLI run rests on this mapping.
 fn campaign_config(spec: &CampaignSpec) -> CampaignConfig {
@@ -661,7 +650,6 @@ fn campaign_config(spec: &CampaignSpec) -> CampaignConfig {
         },
         fault: None,
         jobs: spec.jobs,
-        oracle_jobs: spec.oracle_jobs,
     }
 }
 
@@ -670,15 +658,9 @@ fn run_tenant_campaign(tenant: &Tenant) -> Result<CampaignResult, String> {
     let mut sink = RoundSink { tenant };
     if journal.exists() {
         // Re-adopted after a drain or a daemon crash: continue the
-        // journal. Worker counts are not journaled; the spec's resolved
-        // values keep the resumed half byte-identical.
-        return resume_campaign_extended(
-            &journal,
-            None,
-            Some(tenant.spec.jobs),
-            Some(tenant.spec.oracle_jobs),
-            Some(&mut sink),
-        );
+        // journal. The worker count is not journaled; any count keeps
+        // the resumed half byte-identical.
+        return resume_campaign_extended(&journal, None, Some(tenant.spec.jobs), Some(&mut sink));
     }
     let config = campaign_config(&tenant.spec);
     match &tenant.spec.corpus {
@@ -711,7 +693,6 @@ mod tests {
         assert_eq!(spec.iterations, 50);
         assert_eq!(spec.corpus, None);
         assert_eq!(spec.jobs, default_jobs());
-        assert_eq!(spec.oracle_jobs, default_oracle_jobs(spec.jobs));
         assert_eq!(spec.round_timeout_ms, None);
     }
 
@@ -723,7 +704,6 @@ mod tests {
             iterations: 10,
             corpus: Some(PathBuf::from("/tmp/store")),
             jobs: 2,
-            oracle_jobs: 3,
             round_timeout_ms: Some(500),
         };
         assert_eq!(CampaignSpec::from_json(&spec.to_json()).unwrap(), spec);
@@ -743,6 +723,9 @@ mod tests {
         assert!(CampaignSpec::from_json("{\"rounds\":2,\"jobs\":0}")
             .unwrap_err()
             .contains("jobs"));
+        assert!(CampaignSpec::from_json("{\"rounds\":2,\"oracle_jobs\":1}")
+            .unwrap_err()
+            .contains("--jobs"));
         assert!(CampaignSpec::from_json("not json").is_err());
     }
 

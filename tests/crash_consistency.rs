@@ -181,28 +181,26 @@ fn hanging_rounds_time_out_and_quarantine() {
 
 /// Timeouts are scheduling-independent: because the journal records the
 /// configured limit (not elapsed time) and every attempt deterministically
-/// hangs, the journal bytes are identical at any `--jobs` ×
-/// `--oracle-jobs` combination.
+/// hangs, the journal bytes are identical at any `--jobs`.
 #[test]
 fn hang_timeouts_journal_identically_at_any_worker_count() {
     let dir = temp_dir("hang_jobs");
     std::fs::create_dir_all(&dir).unwrap();
     let seeds = corpus::builtin();
     let mut journals = Vec::new();
-    for (jobs, oracle_jobs) in [(1, 1), (2, 2), (3, 1)] {
-        let journal = dir.join(format!("hang_{jobs}x{oracle_jobs}.jsonl"));
+    for jobs in [1, 2, 3] {
+        let journal = dir.join(format!("hang_j{jobs}.jsonl"));
         let mut config = small_config(2, 77);
         config.supervisor.round_wall_timeout_ms = Some(50);
         config.supervisor.max_retries = 1;
         config.supervisor.quarantine_threshold = 1;
         config.fault = Some(FaultPlan::new(3, 1.0).with_only(VmFault::Hang));
         config.jobs = jobs;
-        config.oracle_jobs = oracle_jobs;
         run_campaign_with_journal(&seeds, &config, &journal).unwrap();
         journals.push(std::fs::read(&journal).unwrap());
     }
-    assert_eq!(journals[0], journals[1], "1x1 vs 2x2");
-    assert_eq!(journals[0], journals[2], "1x1 vs 3x1");
+    assert_eq!(journals[0], journals[1], "jobs 1 vs 2");
+    assert_eq!(journals[0], journals[2], "jobs 1 vs 3");
 
     std::fs::remove_dir_all(dir).ok();
 }

@@ -108,7 +108,6 @@ fn golden_journals_are_byte_identical_across_exec_modes() {
             config.fault = Some(jvmsim::FaultPlan::new(7, 0.25));
         }
         config.jobs = 2;
-        config.oracle_jobs = 4;
         let golden = fs::read(golden_dir.join(name))
             .unwrap_or_else(|e| panic!("missing golden {name}: {e}"));
         for mode in [ExecMode::Interp, ExecMode::Threaded] {

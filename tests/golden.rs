@@ -2,9 +2,8 @@
 //! `tests/golden/`, pinned byte for byte. Two invariants ride on them:
 //!
 //! * **Engine stability** — re-running the recorded campaign (at a
-//!   *parallel* `--jobs` × `--oracle-jobs` setting, exercising both the
-//!   round engine and the work-stealing oracle) reproduces the committed
-//!   bytes exactly. Any drift in mutation order, verdicts, coverage
+//!   *parallel* `--jobs` setting, exercising the speculative round
+//!   engine) reproduces the committed bytes exactly. Any drift in mutation order, verdicts, coverage
 //!   deltas, or journal encoding fails here first.
 //! * **Resume fidelity** — `--resume` re-emits a journal bit-identically,
 //!   both from a complete journal and from one interrupted mid-campaign.
@@ -89,15 +88,14 @@ fn golden_campaigns() -> Vec<(&'static str, CampaignConfig, Vec<Seed>)> {
     ]
 }
 
-/// Re-running the recorded campaign — with round-level and oracle-level
-/// parallelism on — reproduces the committed journal bytes.
+/// Re-running the recorded campaign — with round-level parallelism on —
+/// reproduces the committed journal bytes.
 #[test]
 fn fresh_runs_reproduce_the_golden_journals() {
     for (name, mut config, seeds) in golden_campaigns() {
         let golden = fs::read(golden_dir().join(name))
             .unwrap_or_else(|e| panic!("missing golden {name}: {e} (see module docs)"));
         config.jobs = 2;
-        config.oracle_jobs = 4;
         let path = temp_path(name);
         run_campaign_with_journal(&seeds, &config, &path).unwrap();
         assert_eq!(
@@ -136,7 +134,7 @@ fn resume_reemits_the_golden_bytes() {
                 writer.write_round(record).unwrap();
             }
             drop(writer);
-            resume_campaign_extended(&path, None, Some(2), Some(4), None).unwrap();
+            resume_campaign_extended(&path, None, Some(2), None).unwrap();
             assert_eq!(
                 golden,
                 fs::read(&path).unwrap(),
@@ -148,7 +146,7 @@ fn resume_reemits_the_golden_bytes() {
 }
 
 /// Writes the reference journals (serial engine — though any worker
-/// count produces the same bytes, the generator stays at 1×1 so a
+/// count produces the same bytes, the generator stays at 1 so a
 /// determinism bug can never contaminate the references themselves).
 /// Run explicitly after an intentional engine change; see module docs.
 #[test]
@@ -163,8 +161,7 @@ fn regenerate_golden_journals() {
 }
 
 /// Worker counts are an execution detail: the themed substrate campaigns
-/// emit byte-identical journals at `--jobs 1` and `--jobs 4` (with the
-/// oracle pool width varied too).
+/// emit byte-identical journals at `--jobs 1` and `--jobs 4`.
 #[test]
 fn themed_campaigns_are_byte_identical_across_worker_counts() {
     for (name, config, seeds) in golden_campaigns() {
@@ -173,16 +170,15 @@ fn themed_campaigns_are_byte_identical_across_worker_counts() {
         }
         let golden = fs::read(golden_dir().join(name))
             .unwrap_or_else(|e| panic!("missing golden {name}: {e} (see module docs)"));
-        for (jobs, oracle_jobs) in [(1, 1), (4, 4)] {
+        for jobs in [1, 4] {
             let mut config = config.clone();
             config.jobs = jobs;
-            config.oracle_jobs = oracle_jobs;
             let path = temp_path(&format!("j{jobs}_{name}"));
             run_campaign_with_journal(&seeds, &config, &path).unwrap();
             assert_eq!(
                 golden,
                 fs::read(&path).unwrap(),
-                "golden {name} diverged at --jobs {jobs} --oracle-jobs {oracle_jobs}"
+                "golden {name} diverged at --jobs {jobs}"
             );
             fs::remove_file(&path).ok();
         }

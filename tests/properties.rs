@@ -138,3 +138,49 @@ proptest! {
         prop_assert!(t.eval(&jvmsim::bugs::count_events(&base)));
     }
 }
+
+/// A deterministic Fisher-Yates permutation keyed by `key` (no RNG dep).
+fn permuted(pool: &[jvmsim::JvmSpec], key: u64) -> Vec<jvmsim::JvmSpec> {
+    let mut v = pool.to_vec();
+    let mut state = key | 1;
+    for i in (1..v.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        v.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    v
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Verdicts are a property of the *set* of JVMs, not their order: for
+    /// any pool permutation, non-crash results are fully identical
+    /// (culprit sets, outputs, coverage, totals — all of them
+    /// canonicalized), and a crash verdict stays a crash verdict (which
+    /// JVM wins is by design the first crasher in pool order).
+    #[test]
+    fn verdicts_are_invariant_under_pool_permutation(
+        seed_index in 0usize..6,
+        key in any::<u64>(),
+    ) {
+        use mopfuzzer::{differential, fuzz, FuzzConfig, OracleVerdict};
+        let seeds = mopfuzzer::corpus::builtin();
+        let seed = &seeds[seed_index % seeds.len()];
+        let pool = jvmsim::JvmSpec::differential_pool();
+        let options = jvmsim::RunOptions::fuzzing();
+        let config = FuzzConfig {
+            max_iterations: 8,
+            rng_seed: key,
+            ..FuzzConfig::new(pool[seed_index % pool.len()].clone())
+        };
+        let mutant = fuzz(&seed.program, &config).final_mutant;
+        let base = differential(&mutant, &pool, &options);
+        let perm = differential(&mutant, &permuted(&pool, key), &options);
+        match (&base.verdict, &perm.verdict) {
+            (OracleVerdict::Crash { .. }, OracleVerdict::Crash { .. }) => {}
+            _ => prop_assert_eq!(&base, &perm),
+        }
+    }
+}

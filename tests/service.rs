@@ -8,7 +8,7 @@
 //! promise with real sockets against an in-process [`mopfuzzerd::Server`],
 //! and pin the sharded corpus store's migration round-trip.
 
-use mopfuzzerd::{Config, Server, CAMPAIGNS_DIR, JOURNAL_FILE};
+use mopfuzzerd::{Config, Server, CAMPAIGNS_DIR, JOURNAL_FILE, MAX_CONNECTIONS};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -66,14 +66,7 @@ fn poll_campaign(addr: SocketAddr, id: &str, pred: impl Fn(&str) -> bool, what: 
 /// The reference journal: the same library call, config, and defaults
 /// the CLI's `--rounds .. --journal ..` path uses (`run_serve` is a thin
 /// exec shim, and the CLI's own tests pin the binary to this call).
-fn reference_journal(
-    path: &Path,
-    rounds: usize,
-    rng_seed: u64,
-    iterations: usize,
-    jobs: usize,
-    oracle_jobs: usize,
-) {
+fn reference_journal(path: &Path, rounds: usize, rng_seed: u64, iterations: usize, jobs: usize) {
     let config = mopfuzzer::CampaignConfig {
         iterations_per_seed: iterations,
         variant: mopfuzzer::Variant::Full,
@@ -83,7 +76,6 @@ fn reference_journal(
         supervisor: mopfuzzer::SupervisorConfig::default(),
         fault: None,
         jobs,
-        oracle_jobs,
     };
     let seeds = mopfuzzer::corpus::builtin();
     mopfuzzer::run_campaign_with_journal(&seeds, &config, path).unwrap();
@@ -115,7 +107,7 @@ fn concurrent_tenants_journal_identically_to_serial_cli_runs() {
         addr,
         "POST",
         "/campaigns",
-        "{\"rounds\": 3, \"seed\": 11, \"iterations\": 6, \"jobs\": 1, \"oracle_jobs\": 1}",
+        "{\"rounds\": 3, \"seed\": 11, \"iterations\": 6, \"jobs\": 1}",
     );
     assert_eq!(status, 201, "{body}");
     assert!(body.contains("\"id\":\"c0001\""), "{body}");
@@ -123,7 +115,7 @@ fn concurrent_tenants_journal_identically_to_serial_cli_runs() {
         addr,
         "POST",
         "/campaigns",
-        "{\"rounds\": 2, \"seed\": 22, \"iterations\": 5, \"jobs\": 2, \"oracle_jobs\": 1}",
+        "{\"rounds\": 2, \"seed\": 22, \"iterations\": 5, \"jobs\": 2}",
     );
     assert_eq!(status, 201, "{body}");
     assert!(body.contains("\"id\":\"c0002\""), "{body}");
@@ -155,8 +147,8 @@ fn concurrent_tenants_journal_identically_to_serial_cli_runs() {
     // Serial reference runs with the same seeds and worker counts.
     let ref_dir = temp_dir("tenants_ref");
     std::fs::create_dir_all(&ref_dir).unwrap();
-    reference_journal(&ref_dir.join("a.jsonl"), 3, 11, 6, 1, 1);
-    reference_journal(&ref_dir.join("b.jsonl"), 2, 22, 5, 2, 1);
+    reference_journal(&ref_dir.join("a.jsonl"), 3, 11, 6, 1);
+    reference_journal(&ref_dir.join("b.jsonl"), 2, 22, 5, 2);
     let got_a = std::fs::read(daemon_journal(&dir, "c0001")).unwrap();
     let got_b = std::fs::read(daemon_journal(&dir, "c0002")).unwrap();
     assert_eq!(
@@ -191,7 +183,7 @@ fn drain_and_resume_converges_to_the_uninterrupted_journal() {
         addr,
         "POST",
         "/campaigns",
-        "{\"rounds\": 12, \"seed\": 7, \"iterations\": 8, \"jobs\": 1, \"oracle_jobs\": 1}",
+        "{\"rounds\": 12, \"seed\": 7, \"iterations\": 8, \"jobs\": 1}",
     );
     assert_eq!(status, 201, "{body}");
 
@@ -231,7 +223,7 @@ fn drain_and_resume_converges_to_the_uninterrupted_journal() {
 
     let ref_dir = temp_dir("drain_ref");
     std::fs::create_dir_all(&ref_dir).unwrap();
-    reference_journal(&ref_dir.join("ref.jsonl"), 12, 7, 8, 1, 1);
+    reference_journal(&ref_dir.join("ref.jsonl"), 12, 7, 8, 1);
     assert_eq!(
         std::fs::read(daemon_journal(&dir, "c0001")).unwrap(),
         std::fs::read(ref_dir.join("ref.jsonl")).unwrap(),
@@ -274,7 +266,7 @@ fn corpus_tenant_journals_identically() {
         "/campaigns",
         &format!(
             "{{\"rounds\": 2, \"seed\": 5, \"iterations\": 6, \"jobs\": 1, \
-             \"oracle_jobs\": 1, \"corpus\": \"{}\"}}",
+             \"corpus\": \"{}\"}}",
             store_dir.display()
         ),
     );
@@ -293,7 +285,6 @@ fn corpus_tenant_journals_identically() {
         supervisor: mopfuzzer::SupervisorConfig::default(),
         fault: None,
         jobs: 1,
-        oracle_jobs: 1,
     };
     mopfuzzer::run_corpus_campaign(
         &mut ref_store,
@@ -394,7 +385,6 @@ fn shard_migration_round_trips_and_stays_campaignable() {
         supervisor: mopfuzzer::SupervisorConfig::default(),
         fault: None,
         jobs: 1,
-        oracle_jobs: 1,
     };
     let result = mopfuzzer::run_corpus_campaign(
         &mut store,
@@ -406,5 +396,64 @@ fn shard_migration_round_trips_and_stays_campaignable() {
     .unwrap();
     assert_eq!(result.completed_rounds(), 1);
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The removed oracle worker count is refused loudly, pointing at
+/// `--jobs`, instead of being silently ignored.
+#[test]
+fn removed_oracle_jobs_field_is_rejected() {
+    let dir = temp_dir("oracle_jobs");
+    let server = Server::start(Config::new("127.0.0.1:0", &dir)).unwrap();
+    let (status, body) = request(
+        server.addr(),
+        "POST",
+        "/campaigns",
+        "{\"rounds\": 1, \"jobs\": 1, \"oracle_jobs\": 2}",
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("--jobs"), "{body}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A flood of idle connections costs at most `MAX_CONNECTIONS` threads:
+/// the next connection gets a 503 from the accept thread, and the daemon
+/// serves again once the flood closes.
+#[test]
+fn connection_flood_is_capped_with_503() {
+    let dir = temp_dir("flood");
+    let server = Server::start(Config::new("127.0.0.1:0", &dir)).unwrap();
+    let addr = server.addr();
+    let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).expect("connect to daemon"))
+        .collect();
+    // Connections are accepted in order, so this one finds every slot
+    // taken by the idle ones.
+    let mut extra = TcpStream::connect(addr).unwrap();
+    extra
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut response = String::new();
+    extra.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 503 "), "{response}");
+
+    drop(idle);
+    // The idle threads exit asynchronously; until they do, a probe may
+    // still be refused (and its unread request can reset the socket).
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let mut probe = TcpStream::connect(addr).unwrap();
+        let _ = probe.write_all(b"GET /healthz HTTP/1.1\r\nHost: d\r\n\r\n");
+        let mut response = String::new();
+        let _ = probe.read_to_string(&mut response);
+        if response.starts_with("HTTP/1.1 200 ") {
+            assert!(response.ends_with("\r\n\r\nok\n"), "{response}");
+            break;
+        }
+        assert!(Instant::now() < deadline, "daemon never recovered");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

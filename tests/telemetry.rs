@@ -165,7 +165,7 @@ fn journaled_flight_dumps_name_the_failing_site() {
 
 /// The trace layer inherits the determinism contract of the metrics
 /// layer: under a manual clock the exported Chrome-trace JSON is
-/// byte-identical at any `--jobs`/`--oracle-jobs` setting. The round
+/// byte-identical at any `--jobs` setting. The round
 /// lane is renumbered into program order at merge time and the
 /// wall-clock scheduler lane is suppressed under a manual clock, so the
 /// whole export — ids, parents, timestamps, durations — is a pure
@@ -175,10 +175,9 @@ fn traces_are_byte_identical_across_worker_counts() {
     let seeds = corpus::builtin();
     let meta = [("jobs", "any".to_string())];
     let mut exports = Vec::new();
-    for (jobs, oracle_jobs) in [(1, 1), (4, 4)] {
+    for jobs in [1, 4] {
         let mut config = faulty_config(3, 0.05, 12);
         config.jobs = jobs;
-        config.oracle_jobs = oracle_jobs;
         jtelemetry::install(
             Session::with_clock(Box::new(ManualClock::new()))
                 .with_trace()
@@ -203,8 +202,8 @@ fn traces_are_byte_identical_across_worker_counts() {
 }
 
 /// Tracing and profiling are pure observers even at full parallelism:
-/// the journal written by a traced+profiled campaign at `--jobs 4
-/// --oracle-jobs 4` is byte-for-byte the journal of the serial run
+/// the journal written by a traced+profiled campaign at `--jobs 4` is
+/// byte-for-byte the journal of the serial run
 /// with a plain metrics session. (Both runs install a session — flight
 /// dumps in failure records are a session feature and would differ
 /// against a session-less run by design.)
@@ -221,7 +220,6 @@ fn tracing_does_not_change_journal_bytes() {
 
     let mut config = faulty_config(5, 0.05, 12);
     config.jobs = 4;
-    config.oracle_jobs = 4;
     jtelemetry::install(Session::new().with_trace().with_profile());
     let traced = run_campaign_with_journal(&seeds, &config, &traced_path).unwrap();
     let session = jtelemetry::take().expect("session installed");
