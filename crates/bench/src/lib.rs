@@ -72,25 +72,6 @@ pub mod metrics {
     }
 }
 
-/// Host metadata rendered as a JSON object, embedded as the `"host"`
-/// field of every `BENCH_*.json` so recorded numbers can be compared
-/// like-for-like across machines. `clock` names the session time
-/// source: bench bins always time against the host monotonic clock
-/// (tests are what install a `ManualClock`).
-pub fn host_meta_json() -> String {
-    let hw = std::thread::available_parallelism().map_or(1, usize::from);
-    format!(
-        "{{\"os\": \"{}\", \"arch\": \"{}\", \"family\": \"{}\", \
-         \"pointer_width\": {}, \"available_parallelism\": {hw}, \
-         \"debug_assertions\": {}, \"clock\": \"monotonic\"}}",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-        std::env::consts::FAMILY,
-        usize::BITS,
-        cfg!(debug_assertions)
-    )
-}
-
 /// The two per-family differential pools. The paper runs its campaigns
 /// against OpenJDK and OpenJ9 *separately* (§4.1); pooling both families
 /// would let HotSpur crash bugs mask J9 miscompilations, because a crash
@@ -254,15 +235,5 @@ mod tests {
     #[test]
     fn experiment_seeds_extend() {
         assert_eq!(experiment_seeds(2).len(), 12);
-    }
-
-    #[test]
-    fn host_meta_is_a_json_object() {
-        let host = host_meta_json();
-        assert!(host.starts_with('{') && host.ends_with('}'), "{host}");
-        assert!(host.contains("\"os\""), "{host}");
-        assert!(host.contains("\"arch\""), "{host}");
-        assert!(host.contains("\"available_parallelism\""), "{host}");
-        assert!(host.contains("\"clock\": \"monotonic\""), "{host}");
     }
 }

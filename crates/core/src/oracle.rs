@@ -3,7 +3,6 @@
 
 use jvmsim::{CoverageMap, CrashReport, JvmRun, JvmSpec, RunOptions, Verdict as JvmVerdict};
 use mjava::Program;
-use std::collections::HashSet;
 
 /// The oracle's verdict on one test case.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,8 +63,6 @@ pub fn differential(
     let mut coverage = CoverageMap::new();
     let (mut executions, mut steps) = (0, 0);
     let mut runs: Vec<JvmRun> = Vec::new();
-    // Code-cache and pipeline-memo keys seen so far this call.
-    let (mut code_seen, mut pipeline_seen) = (HashSet::new(), HashSet::new());
     // One class-loading pass for the whole pool: every JVM executes the
     // same program, so the image (and its load-time method lowering) is
     // built once. Each run still gets its own mutable clone to install
@@ -76,10 +73,6 @@ pub fn differential(
         executions += 1;
         steps += run.steps;
         coverage.merge(&run.coverage);
-        // Before the crash early-exit: the crashing run's lookups happened.
-        if jtelemetry::enabled() {
-            count_cache_lookups(&run, &mut code_seen, &mut pipeline_seen);
-        }
         if let JvmVerdict::CompilerCrash(report) = &run.verdict {
             if jtelemetry::enabled() {
                 jtelemetry::count(jtelemetry::Counter::OracleCrash, 1);
@@ -151,43 +144,6 @@ pub fn differential(
         coverage,
         executions,
         steps,
-    }
-}
-
-/// Counts one run's cache lookups against the code-cache and
-/// pipeline-memo keys already seen this differential call. The
-/// process-wide caches are warmed in scheduling order (rounds speculated
-/// by `--jobs` workers included), so their live hit rates depend on
-/// worker count — but each run's *lookup keys* are a pure function of
-/// the execution, so replaying them against per-call seen-sets yields
-/// counters that are bit-identical at any `--jobs`.
-fn count_cache_lookups(
-    run: &JvmRun,
-    code_seen: &mut HashSet<u64>,
-    pipeline_seen: &mut HashSet<u64>,
-) {
-    let mut tally = [0u64; 4]; // code hit/miss, pipeline hit/miss
-    for &key in &run.cache_log.code {
-        let hit = !code_seen.insert(key);
-        tally[usize::from(!hit)] += 1;
-    }
-    for &key in &run.cache_log.pipeline {
-        let hit = !pipeline_seen.insert(key);
-        tally[2 + usize::from(!hit)] += 1;
-    }
-    let counters = [
-        jtelemetry::Counter::CodeCacheHits,
-        jtelemetry::Counter::CodeCacheMisses,
-        jtelemetry::Counter::PipelineCacheHits,
-        jtelemetry::Counter::PipelineCacheMisses,
-    ];
-    for (counter, n) in counters.into_iter().zip(tally) {
-        if n > 0 {
-            jtelemetry::count(counter, n);
-        }
-    }
-    if run.cache_log.inlined > 0 {
-        jtelemetry::count(jtelemetry::Counter::LeafCallsInlined, run.cache_log.inlined);
     }
 }
 

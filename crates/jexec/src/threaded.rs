@@ -58,7 +58,6 @@ use crate::image::{Fnv, Image};
 use crate::interp::{opcode_index, ExecConfig, ExecStats, OpcodeProfiler, Outcome, Profile};
 use crate::slot::{self, Slot, Tag, NULL};
 use crate::value::{ClassId, Heap, Value};
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -387,9 +386,7 @@ pub struct ThreadedCode {
     unfused: Option<Arc<ThreadedCode>>,
 }
 
-/// Statistics of the process-wide code cache (for benches and debugging;
-/// deterministic telemetry counters are derived elsewhere, see
-/// [`take_lookup_log`]).
+/// Statistics of the process-wide code cache (for benches and debugging).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries currently resident.
@@ -414,9 +411,6 @@ type CodeMap = HashMap<(u64, u64), Arc<ThreadedCode>>;
 static CODE_CACHE: OnceLock<RwLock<CodeMap>> = OnceLock::new();
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-/// Process-lifetime count of leaf calls executed inline (benches only;
-/// the deterministic per-run counter is [`take_inline_count`]).
-static INLINE_TOTAL: AtomicU64 = AtomicU64::new(0);
 
 fn cache() -> &'static RwLock<CodeMap> {
     CODE_CACHE.get_or_init(|| RwLock::new(HashMap::new()))
@@ -430,33 +424,6 @@ fn cache_write() -> RwLockWriteGuard<'static, CodeMap> {
     cache().write().unwrap_or_else(|e| e.into_inner())
 }
 
-thread_local! {
-    /// Cache keys looked up by this thread, in execution order. Drained by
-    /// `jvmsim::run_jvm` into `JvmRun::cache_log`, where the oracle counts
-    /// hits/misses in canonical merge order — making the telemetry counters
-    /// a pure function of the executions, independent of live cache state
-    /// and worker scheduling.
-    static LOOKUP_LOG: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-    /// Leaf calls executed inline by this thread since the last drain.
-    /// Like the lookup log, a pure function of the executions performed.
-    static INLINE_LOG: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Drains this thread's code-cache lookup log.
-pub fn take_lookup_log() -> Vec<u64> {
-    LOOKUP_LOG.with(|l| std::mem::take(&mut *l.borrow_mut()))
-}
-
-/// Drains this thread's count of leaf calls executed inline.
-pub fn take_inline_count() -> u64 {
-    INLINE_LOG.with(|c| c.replace(0))
-}
-
-/// Process-lifetime count of leaf calls executed inline.
-pub fn inline_total() -> u64 {
-    INLINE_TOTAL.load(Ordering::Relaxed)
-}
-
 /// Renders a method's fused op array, one op per line (development
 /// tooling for inspecting what the fuser built; not a stable format).
 #[doc(hidden)]
@@ -465,12 +432,12 @@ pub fn dump_fused(image: &Image, mid: MethodId) -> Vec<String> {
     tc.ops.iter().map(|op| format!("{op:?}")).collect()
 }
 
-/// Empties the cache and zeroes its statistics (campaign start / benches).
+/// Empties the cache and zeroes its statistics.
+#[cfg(test)]
 pub fn cache_reset() {
     cache_write().clear();
     CACHE_HITS.store(0, Ordering::Relaxed);
     CACHE_MISSES.store(0, Ordering::Relaxed);
-    INLINE_TOTAL.store(0, Ordering::Relaxed);
 }
 
 /// Live statistics of the process-wide cache.
@@ -498,10 +465,6 @@ fn lookup_or_lower(image: &Image, mid: MethodId) -> Arc<ThreadedCode> {
         }
     }
     let key = (image.shape_fp(), h.0);
-    let mut lh = Fnv::new();
-    lh.u64(key.0);
-    lh.u64(key.1);
-    LOOKUP_LOG.with(|l| l.borrow_mut().push(lh.0));
     if let Some(tc) = cache_read().get(&key) {
         CACHE_HITS.fetch_add(1, Ordering::Relaxed);
         return Arc::clone(tc);
@@ -1654,9 +1617,6 @@ struct TMachine<'i> {
     profiler: Option<OpcodeProfiler>,
     /// Per-execution memo of cache lookups (one per method, first call).
     lowered: Vec<Option<Arc<ThreadedCode>>>,
-    /// Leaf calls executed inline this run (drained into the thread-local
-    /// log for telemetry; never part of the [`Outcome`]).
-    inlined: u64,
 }
 
 /// Executes `image` from its `main` method on the threaded substrate.
@@ -1687,7 +1647,6 @@ pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
         output: Vec::new(),
         profiler: jtelemetry::profiling().then(OpcodeProfiler::new),
         lowered: vec![None; image.methods.len()],
-        inlined: 0,
     };
     // Class lock objects occupy ids 0..n_classes, so `ClassObj(c)` is
     // `Ref(c)`.
@@ -1708,8 +1667,6 @@ pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
     }
     jtelemetry::count(jtelemetry::Counter::InterpRuns, 1);
     jtelemetry::count(jtelemetry::Counter::InterpSteps, machine.stats.steps);
-    INLINE_LOG.with(|c| c.set(c.get() + machine.inlined));
-    INLINE_TOTAL.fetch_add(machine.inlined, Ordering::Relaxed);
     if let Some(profiler) = &machine.profiler {
         profiler.flush();
     }
@@ -2723,7 +2680,6 @@ impl<'i> TMachine<'i> {
                             }
                             self.profile.invocations[info.mid as usize] += 1;
                             self.stats.calls += 1;
-                            self.inlined += 1;
                             // The callee window sits directly on the popped
                             // receiver + arguments, exactly like `enter!`.
                             let cbase = sp - pops;
@@ -3065,23 +3021,23 @@ mod tests {
         assert_eq!(snaps[0], snaps[1], "per-opcode tables must be identical");
     }
 
+    /// Serializes the tests that reset or compare entries of the
+    /// process-wide code cache, which the test harness shares across threads.
+    static CACHE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn code_cache_shares_lowering_across_runs() {
+        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         cache_reset();
         let image = Image::build(
             &mjava::parse("class T { static void main() { System.out.println(3); } }").unwrap(),
         )
         .unwrap();
-        let _ = take_lookup_log();
         let first = run(&image, &ExecConfig::default());
-        let log1 = take_lookup_log();
         let stats1 = cache_stats();
         let second = run(&image, &ExecConfig::default());
-        let log2 = take_lookup_log();
         let stats2 = cache_stats();
         assert_eq!(first, second);
-        assert_eq!(log1, log2, "lookup keys are a pure function of the run");
-        assert_eq!(log1.len(), 1, "only main is ever called");
         assert!(stats2.hits > stats1.hits, "second run hits the cache");
         assert_eq!(stats2.misses, stats1.misses, "second run lowers nothing");
     }
@@ -3089,26 +3045,30 @@ mod tests {
     #[test]
     fn install_code_invalidates_exactly_that_method() {
         use crate::code::{Code, Instr};
-        cache_reset();
-        let mut image = Image::build(
-            &mjava::parse("class T { static void main() { System.out.println(3); } }").unwrap(),
-        )
-        .unwrap();
-        let _ = take_lookup_log();
-        let _ = run(&image, &ExecConfig::default());
-        let log_before = take_lookup_log();
+        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let src = "class T { static int f() { return 1; } static void main() { System.out.println(3); } }";
+        let mut image = Image::build(&mjava::parse(src).unwrap()).unwrap();
+        let (main, f) = (image.main(), image.method_id("T", "f").unwrap());
+        let main_before = lookup_or_lower(&image, main);
+        let f_before = lookup_or_lower(&image, f);
         image.install_code(
-            image.main(),
+            main,
             Code {
                 instrs: vec![Instr::ConstI(9), Instr::Print, Instr::Return],
                 n_locals: 0,
                 max_stack: 1,
             },
         );
+        assert!(
+            !Arc::ptr_eq(&main_before, &lookup_or_lower(&image, main)),
+            "tier-up must re-lower the installed method"
+        );
+        assert!(
+            Arc::ptr_eq(&f_before, &lookup_or_lower(&image, f)),
+            "an untouched method keeps its cached body"
+        );
         let o = run(&image, &ExecConfig::default());
-        let log_after = take_lookup_log();
         assert_eq!(o.output, vec!["9"]);
-        assert_ne!(log_before, log_after, "tier-up must change the cache key");
     }
 
     /// Leaf inlining must be invisible in the step/fuel accounting: every
@@ -3138,14 +3098,16 @@ mod tests {
     #[test]
     fn leaf_inlining_fires_and_is_invalidated_by_install_code() {
         use crate::code::{Code, Instr};
-        cache_reset();
         let src = "class T { static int one() { return 1; } static void main() { System.out.println(T.one() + T.one()); } }";
         let mut image = Image::build(&mjava::parse(src).unwrap()).unwrap();
         let one = image.method_id("T", "one").unwrap();
-        let _ = take_inline_count();
+        let inline_calls = dump_fused(&image, image.main())
+            .iter()
+            .filter(|op| op.starts_with("InlineCall"))
+            .count();
+        assert_eq!(inline_calls, 2, "both call sites inline");
         let o = run(&image, &ExecConfig::default());
         assert_eq!(o.output, vec!["2"]);
-        assert_eq!(take_inline_count(), 2, "both call sites inline");
         assert_eq!(o, interp::run(&image, &ExecConfig::default()));
         image.install_code(
             one,

@@ -10,7 +10,6 @@
 use crate::analysis::block_size;
 use crate::event::{FlagSet, OptEvent, OptEventKind};
 use crate::phases;
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -276,8 +275,7 @@ struct MemoState {
 }
 
 /// Statistics of the process-wide pipeline memo (for benches and
-/// debugging; deterministic telemetry counters are derived elsewhere, see
-/// [`take_lookup_log`]).
+/// debugging).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Round-boundary snapshots currently resident.
@@ -309,21 +307,8 @@ fn memo_write() -> RwLockWriteGuard<'static, HashMap<u64, Arc<MemoState>>> {
     memo().write().unwrap_or_else(|e| e.into_inner())
 }
 
-thread_local! {
-    /// Full-pipeline memo keys looked up by this thread, in execution
-    /// order. Drained by `jvmsim::run_jvm` into `JvmRun::cache_log`, where
-    /// the oracle counts hits/misses in canonical merge order — making the
-    /// telemetry counters a pure function of the executions, independent
-    /// of live memo state and worker scheduling.
-    static LOOKUP_LOG: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Drains this thread's pipeline-memo lookup log.
-pub fn take_lookup_log() -> Vec<u64> {
-    LOOKUP_LOG.with(|l| std::mem::take(&mut *l.borrow_mut()))
-}
-
-/// Empties the memo and zeroes its statistics (campaign start / benches).
+/// Empties the memo and zeroes its statistics.
+#[cfg(test)]
 pub fn cache_reset() {
     memo_write().clear();
     MEMO_HITS.store(0, Ordering::Relaxed);
@@ -435,7 +420,6 @@ pub fn optimize_memo(
             round,
         )
     };
-    LOOKUP_LOG.with(|l| l.borrow_mut().push(key_at(limits.rounds)));
 
     // Resume from the deepest memoized prefix.
     let mut start_round = 0;
@@ -626,7 +610,6 @@ mod tests {
         )
         .unwrap();
         cache_reset();
-        let _ = take_lookup_log();
         // Cold (miss), warm (full hit), and every intermediate must agree.
         for pass in 0..3 {
             let memoed = optimize_memo(
@@ -640,7 +623,6 @@ mod tests {
             )
             .unwrap();
             assert_same_outcome(&direct, &memoed);
-            let _ = take_lookup_log();
             let stats = cache_stats();
             assert_eq!(stats.misses, 1, "only the cold pass runs (pass {pass})");
             assert_eq!(stats.hits, pass as u64, "every warm pass is a full hit");
@@ -708,7 +690,6 @@ mod tests {
         )
         .unwrap();
         assert_same_outcome(&direct_short, &a);
-        let _ = take_lookup_log();
     }
 
     #[test]

@@ -44,5 +44,5 @@ pub use bugs::{BugKind, Corruption, InjectedBug, Priority, ReportStatus, Trigger
 pub use component::{Area, Component};
 pub use coverage::CoverageMap;
 pub use fault::{FaultPlan, VmFault};
-pub use run::{run_jvm, run_jvm_with_image, CacheLog, CrashReport, JvmRun, RunOptions, Verdict};
+pub use run::{run_jvm, run_jvm_with_image, CrashReport, JvmRun, RunOptions, Verdict};
 pub use spec::{Family, JvmSpec, Version};

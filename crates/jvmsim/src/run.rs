@@ -82,22 +82,6 @@ impl Verdict {
     }
 }
 
-/// Cache-lookup keys recorded during one JVM execution, in execution
-/// order. A pure function of the execution itself (not of live cache
-/// state), so the oracle can count hits and misses in canonical merge
-/// order — giving bit-identical telemetry at any worker count, even
-/// though the process-wide caches are warmed in scheduling order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheLog {
-    /// Threaded-code cache keys (one per first call of each method).
-    pub code: Vec<u64>,
-    /// Pipeline-memo keys (one per method compilation).
-    pub pipeline: Vec<u64>,
-    /// Leaf calls the threaded substrate executed inline (framelessly).
-    /// A pure function of the execution, like the key logs.
-    pub inlined: u64,
-}
-
 /// The full result of one JVM execution.
 #[derive(Debug, Clone)]
 pub struct JvmRun {
@@ -119,8 +103,6 @@ pub struct JvmRun {
     pub miscompiled_by: Vec<String>,
     /// Total interpreter steps across both runs — the simulated-time unit.
     pub steps: u64,
-    /// Cache-lookup keys from this execution (see [`CacheLog`]).
-    pub cache_log: CacheLog,
 }
 
 impl JvmRun {
@@ -174,12 +156,6 @@ pub fn run_jvm_with_image(
     // Opened before the fault check so an injected panic still leaves a
     // flight-recorder event naming the JVM that died.
     let _span = jtelemetry::span(jtelemetry::FlightKind::Vm, "vm_execution", &spec.name());
-    // Discard lookup keys left behind by an execution that died mid-run
-    // (injected panic, watchdog cancellation): this run's log must contain
-    // exactly this run's lookups.
-    let _ = jexec::threaded::take_lookup_log();
-    let _ = jopt::pipeline::take_lookup_log();
-    let _ = jexec::threaded::take_inline_count();
     // Fault injection decides up front, from (plan, jvm, program) alone,
     // what — if anything — goes wrong during this execution.
     let injected = options
@@ -202,11 +178,6 @@ pub fn run_jvm_with_image(
     }
 
     let mut run = run_jvm_inner(program, prebuilt, spec, options, &exec, injected);
-    run.cache_log = CacheLog {
-        code: jexec::threaded::take_lookup_log(),
-        pipeline: jopt::pipeline::take_lookup_log(),
-        inlined: jexec::threaded::take_inline_count(),
-    };
     if injected == Some(VmFault::LogCorruption) {
         if let Some(plan) = &options.fault {
             plan.corrupt_log(&spec.name(), &mjava::print(program), &mut run.log);
@@ -251,7 +222,6 @@ fn run_jvm_inner(
         compiled: Vec::new(),
         miscompiled_by: Vec::new(),
         steps: 0,
-        cache_log: CacheLog::default(),
     };
 
     if injected == Some(VmFault::BuildFailure) {

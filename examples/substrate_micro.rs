@@ -3,14 +3,16 @@
 //! shape each (counted loops, local/static arithmetic, static and
 //! virtual calls, field access, boxing), reporting ns/step per mode.
 //!
-//! Complements `interp_bench` (which measures the full campaign
-//! workload): when the campaign-level ratio moves, this shows *which*
-//! shape moved. `--workload-profile` prints the opcode mix of the
-//! campaign workload instead, for deciding what to fuse next.
+//! Complements the campaign benchmark (`campaignbench/`, which measures
+//! the full campaign workload): when the campaign-level ratio moves,
+//! this shows *which* shape moved. `--workload-profile` prints the
+//! opcode mix of a campaign-shaped workload instead, for deciding what
+//! to fuse next.
 use jexec::{ExecConfig, ExecMode, Image};
 use std::time::Instant;
 
-/// Opcode mix of the interp_bench campaign workload (sampled 1/64).
+/// Opcode mix of the final mutants of 20-iteration fuzzing runs over the
+/// builtin seeds (sampled 1/64).
 fn workload_profile() {
     use mopfuzzer::{fuzz, FuzzConfig};
     let pool = jvmsim::JvmSpec::differential_pool();

@@ -9,6 +9,7 @@ use mopfuzzer::{
 };
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mop_corpus_{}_{name}", std::process::id()));
@@ -461,4 +462,62 @@ fn gc_tombstones_do_not_break_resume() {
     );
 
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// Mutating filesystem operations of one save that follows dirtying a
+/// single entry's stats, on a store holding `entries` seeds in the given
+/// layout (`None` = flat, `Some(n)` = `n` shards).
+fn dirty_one_save_ops(tag: &str, entries: usize, shards: Option<usize>) -> u64 {
+    let dir = temp_dir(tag);
+    let mut store = match shards {
+        Some(n) => jcorpus::Store::init_sharded(&dir, n).unwrap(),
+        None => jcorpus::Store::init(&dir).unwrap(),
+    };
+    // Generated seeds can share a fingerprint, so import until the store
+    // holds exactly `entries` distinct ones.
+    for seed in corpus::corpus(2 * entries, 1) {
+        if store.entries().len() == entries {
+            break;
+        }
+        import_seeds(&mut store, &[seed], jcorpus::Provenance::Builtin).unwrap();
+    }
+    assert_eq!(store.entries().len(), entries);
+    store.save().unwrap();
+    drop(store);
+
+    let probe = Arc::new(jcorpus::ChaosVfs::probe());
+    let mut store = jcorpus::Store::open_with(&dir, probe.clone()).unwrap();
+    let name = store.entries()[0].name.clone();
+    let stats = jcorpus::EntryStats {
+        schedules: 1,
+        ..Default::default()
+    };
+    store.set_stats(&name, stats).unwrap();
+    let before = probe.ops();
+    store.save().unwrap();
+    let ops = probe.ops() - before;
+    let _ = std::fs::remove_dir_all(&dir);
+    ops
+}
+
+/// A sharded save rewrites only the dirty shard, so flushing one entry
+/// costs strictly fewer mutating operations than a flat save of the same
+/// store, and doubling the corpus grows that cost only by the dirty
+/// shard's share, not by the whole corpus as a flat save does.
+#[test]
+fn sharded_saves_rewrite_only_the_dirty_shard() {
+    let flat = dirty_one_save_ops("flush_flat", 24, None);
+    let flat_2x = dirty_one_save_ops("flush_flat_2x", 48, None);
+    let sharded = dirty_one_save_ops("flush_sharded", 24, Some(8));
+    let sharded_2x = dirty_one_save_ops("flush_sharded_2x", 48, Some(8));
+    assert!(sharded < flat, "sharded save {sharded} ops >= flat {flat}");
+    assert!(
+        sharded_2x < flat_2x,
+        "sharded save {sharded_2x} ops >= flat {flat_2x} at 2x entries"
+    );
+    assert!(
+        sharded_2x - sharded < flat_2x - flat,
+        "sharded save grew like a whole-store rewrite: {sharded} -> {sharded_2x} ops \
+         (flat {flat} -> {flat_2x})"
+    );
 }
