@@ -476,10 +476,12 @@ fn lookup_or_lower(image: &Image, mid: MethodId) -> Arc<ThreadedCode> {
     // along inside for profiled runs.
     let tc = Arc::new(fuse(image, Arc::new(lower(image, mid))));
     let mut map = cache_write();
-    if map.len() >= CACHE_CAP {
-        map.clear();
-    }
-    Arc::clone(map.entry(key).or_insert(tc))
+    let flushed = (map.len() >= CACHE_CAP).then(|| std::mem::take(&mut *map));
+    let tc = Arc::clone(map.entry(key).or_insert(tc));
+    // Dropping a full cache is slow: release the lock first.
+    drop(map);
+    drop(flushed);
+    tc
 }
 
 /// Abstract operand kind for the lowering-time type recovery.

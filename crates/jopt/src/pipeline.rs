@@ -90,7 +90,7 @@ impl PhaseId {
 
 /// Tunable limits, corresponding to HotSpot options like
 /// `-XX:LoopUnrollLimit` and `-XX:MaxInlineSize`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OptLimits {
     /// Maximum constant trip count fully unrolled.
     pub unroll_limit: u64,
@@ -231,28 +231,11 @@ pub fn optimize(
     flags: &FlagSet,
 ) -> Option<OptOutcome> {
     let class = program.class(class_name)?;
-    let method = class.method(method_name)?;
-    let mut method = method.clone();
+    let mut method = class.method(method_name)?.clone();
     let mut cx = OptCx::new(program, class_name, method_name, limits);
     let _trace = jtelemetry::trace_span("optimize", || vec![("method", cx.method_label.clone())]);
-    for _round in 0..limits.rounds {
-        for &phase in phase_order {
-            if block_size(&method.body) > limits.max_method_size {
-                break;
-            }
-            cx.current_phase = phase;
-            run_phase(phase, &mut method, class, &mut cx);
-        }
-    }
-    let mut log = Vec::new();
-    if flags.contains(crate::event::TraceFlag::PrintCompilation) {
-        log.push(format!("Compiled method {}", cx.method_label));
-    }
-    for e in &cx.events {
-        if let Some(line) = e.log_line(flags) {
-            log.push(line);
-        }
-    }
+    run_pipeline(&mut method, class, phase_order, &mut cx);
+    let log = render_log(&cx.method_label, &cx.events, flags);
     Some(OptOutcome {
         method,
         events: cx.events,
@@ -261,49 +244,93 @@ pub fn optimize(
     })
 }
 
-/// Compilation state at a round boundary: everything later rounds read.
-/// `spans` records the exact `run_phase` sequence over the memoized rounds
-/// so a memo hit can replay its telemetry spans — flight streams and span
-/// histograms stay identical whether the pipeline ran or was replayed.
-struct MemoState {
+/// Runs `phase_order` for `limits.rounds` rounds, stopping for good once
+/// the method outgrows `limits.max_method_size` (no phase runs on an
+/// oversized body, so it stays oversized). Returns the number of phases
+/// run: the phase spans emitted are exactly the first that many entries
+/// of `phase_order` repeated.
+fn run_pipeline(
+    method: &mut mjava::Method,
+    class: &mjava::Class,
+    phase_order: &[PhaseId],
+    cx: &mut OptCx,
+) -> usize {
+    let total = phase_order.len() * cx.limits.rounds;
+    let mut ran = 0;
+    for &phase in phase_order.iter().cycle().take(total) {
+        if block_size(&method.body) > cx.limits.max_method_size {
+            break;
+        }
+        cx.current_phase = phase;
+        run_phase(phase, method, class, cx);
+        ran += 1;
+    }
+    ran
+}
+
+/// Renders the trace log of one compilation under `flags`.
+fn render_log(method_label: &str, events: &[OptEvent], flags: &FlagSet) -> Vec<String> {
+    let mut log = Vec::new();
+    if flags.contains(crate::event::TraceFlag::PrintCompilation) {
+        log.push(format!("Compiled method {method_label}"));
+    }
+    log.extend(events.iter().filter_map(|e| e.log_line(flags)));
+    log
+}
+
+/// Everything a compile produces except its flag-dependent log.
+/// `phases_run` lets a memo hit replay the pipeline's telemetry spans, so
+/// flight streams and span histograms stay identical whether the
+/// pipeline ran or was replayed.
+struct Snapshot {
     method: mjava::Method,
     events: Vec<OptEvent>,
     covered: HashSet<u32>,
-    inline_budget_left: usize,
-    fresh: u32,
-    spans: Vec<PhaseId>,
+    phases_run: usize,
 }
+
+/// One compile configuration: the memo's key. `limits` includes `rounds`.
+#[derive(PartialEq, Eq, Hash)]
+struct MemoKey {
+    program_fp: u64,
+    class: String,
+    method: String,
+    phase_order: Vec<PhaseId>,
+    limits: OptLimits,
+}
+
+type MemoMap = HashMap<MemoKey, Arc<Snapshot>>;
 
 /// Statistics of the process-wide pipeline memo (for benches and
 /// debugging).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Round-boundary snapshots currently resident.
+    /// Finished-compile snapshots currently resident.
     pub entries: usize,
-    /// [`optimize_memo`] calls fully served from a snapshot.
+    /// [`optimize_memo`] calls served from a snapshot.
     pub hits: u64,
-    /// Calls that ran at least one pipeline round.
+    /// Calls that ran the pipeline.
     pub misses: u64,
 }
 
-/// Snapshot cap; on overflow the memo is flushed wholesale. Presence in
-/// the memo never affects results (a miss recomputes the same state), so
-/// eviction is unobservable.
+/// Snapshot cap (one per distinct compile); on overflow the memo is
+/// flushed wholesale. Presence in the memo never affects results (a miss
+/// recomputes the same state), so eviction is unobservable.
 const MEMO_CAP: usize = 8_192;
 
-static PIPELINE_MEMO: OnceLock<RwLock<HashMap<u64, Arc<MemoState>>>> = OnceLock::new();
+static PIPELINE_MEMO: OnceLock<RwLock<MemoMap>> = OnceLock::new();
 static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
 
-fn memo() -> &'static RwLock<HashMap<u64, Arc<MemoState>>> {
+fn memo() -> &'static RwLock<MemoMap> {
     PIPELINE_MEMO.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-fn memo_read() -> RwLockReadGuard<'static, HashMap<u64, Arc<MemoState>>> {
+fn memo_read() -> RwLockReadGuard<'static, MemoMap> {
     memo().read().unwrap_or_else(|e| e.into_inner())
 }
 
-fn memo_write() -> RwLockWriteGuard<'static, HashMap<u64, Arc<MemoState>>> {
+fn memo_write() -> RwLockWriteGuard<'static, MemoMap> {
     memo().write().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -324,71 +351,24 @@ pub fn cache_stats() -> CacheStats {
     }
 }
 
-/// FNV-1a over the memo key ingredients.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.byte(b);
-        }
-    }
-}
-
-/// Fingerprint of a program's canonical source, for [`optimize_memo`]'s
-/// `program_fp` argument. Callers hash `mjava::print(program)` once per
-/// program rather than once per compiled method.
+/// Fingerprint (length-prefixed FNV-1a) of a program's canonical source,
+/// for [`optimize_memo`]'s `program_fp` argument. Callers hash
+/// `mjava::print(program)` once per program rather than once per
+/// compiled method.
 pub fn source_fingerprint(source: &str) -> u64 {
-    let mut h = Fnv::new();
-    h.str(source);
-    h.0
+    let len = (source.len() as u64).to_le_bytes();
+    len.iter()
+        .chain(source.as_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
 
-/// Key of the compilation state after `round` rounds of this pipeline.
-/// `limits.rounds` is deliberately excluded so version configs that share
-/// a phase order and limits share prefixes — a 2-round JVM's final state
-/// seeds rounds 0..2 of a 3-round JVM compiling the same program.
-fn memo_key(
-    program_fp: u64,
-    class_name: &str,
-    method_name: &str,
-    phase_order: &[PhaseId],
-    limits: &OptLimits,
-    round: usize,
-) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(program_fp);
-    h.str(class_name);
-    h.str(method_name);
-    h.u64(phase_order.len() as u64);
-    for p in phase_order {
-        h.byte(*p as u8);
-    }
-    h.u64(limits.unroll_limit);
-    h.u64(limits.inline_max_stmts as u64);
-    h.u64(limits.inline_budget as u64);
-    h.u64(limits.max_method_size as u64);
-    h.u64(round as u64);
-    h.0
-}
-
-/// [`optimize`] with cross-version memoization: round-boundary compilation
-/// states are published to a process-wide memo keyed by
-/// `(program fingerprint, method, phase order, limits, round)`, so the
-/// eight differential-pool JVMs (and repeated runs of a corpus seed)
-/// re-optimize shared pipeline prefixes at most once.
+/// [`optimize`] with cross-version memoization: each finished compile is
+/// published to a process-wide memo keyed by `(program fingerprint,
+/// class, method, phase order, limits)`, so differential-pool JVMs that
+/// share a compile configuration (and repeated runs of a corpus seed)
+/// run the pipeline at most once.
 ///
 /// `program_fp` must be a fingerprint of `program`'s canonical source
 /// (`mjava::print`) — callers compute it once per program. Trace `flags`
@@ -407,95 +387,53 @@ pub fn optimize_memo(
     flags: &FlagSet,
 ) -> Option<OptOutcome> {
     let class = program.class(class_name)?;
-    let mut method = class.method(method_name)?.clone();
+    let source = class.method(method_name)?;
     let mut cx = OptCx::new(program, class_name, method_name, limits);
     let _trace = jtelemetry::trace_span("optimize", || vec![("method", cx.method_label.clone())]);
-    let key_at = |round: usize| {
-        memo_key(
-            program_fp,
-            class_name,
-            method_name,
-            phase_order,
-            &limits,
-            round,
-        )
+    let key = MemoKey {
+        program_fp,
+        class: class_name.to_string(),
+        method: method_name.to_string(),
+        phase_order: phase_order.to_vec(),
+        limits,
     };
-
-    // Resume from the deepest memoized prefix.
-    let mut start_round = 0;
-    let mut prefix: Option<Arc<MemoState>> = None;
-    {
-        let map = memo_read();
-        for round in (1..=limits.rounds).rev() {
-            if let Some(state) = map.get(&key_at(round)) {
-                prefix = Some(Arc::clone(state));
-                start_round = round;
-                break;
+    let cached = memo_read().get(&key).map(Arc::clone);
+    let snapshot = match cached {
+        Some(snapshot) => {
+            MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+            for &phase in phase_order.iter().cycle().take(snapshot.phases_run) {
+                let _span = jtelemetry::span(
+                    jtelemetry::FlightKind::Phase,
+                    phase.name(),
+                    &cx.method_label,
+                );
             }
+            snapshot
         }
-    }
-    let mut spans: Vec<PhaseId> = Vec::new();
-    if let Some(state) = prefix {
-        for &phase in state.spans.iter() {
-            let _span = jtelemetry::span(
-                jtelemetry::FlightKind::Phase,
-                phase.name(),
-                &cx.method_label,
-            );
+        None => {
+            MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
+            let mut method = source.clone();
+            let phases_run = run_pipeline(&mut method, class, phase_order, &mut cx);
+            let snapshot = Arc::new(Snapshot {
+                method,
+                events: std::mem::take(&mut cx.events),
+                covered: std::mem::take(&mut cx.covered),
+                phases_run,
+            });
+            let mut map = memo_write();
+            let flushed = (map.len() >= MEMO_CAP).then(|| std::mem::take(&mut *map));
+            map.entry(key).or_insert_with(|| Arc::clone(&snapshot));
+            // Dropping a full memo is slow: release the lock first.
+            drop(map);
+            drop(flushed);
+            snapshot
         }
-        method = state.method.clone();
-        cx.events = state.events.clone();
-        cx.covered = state.covered.clone();
-        cx.inline_budget_left = state.inline_budget_left;
-        cx.fresh = state.fresh;
-        spans = state.spans.clone();
-    }
-    if start_round == limits.rounds {
-        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-    } else {
-        MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    }
-
-    for round in start_round..limits.rounds {
-        for &phase in phase_order {
-            if block_size(&method.body) > limits.max_method_size {
-                break;
-            }
-            cx.current_phase = phase;
-            run_phase(phase, &mut method, class, &mut cx);
-            spans.push(phase);
-        }
-        let key = key_at(round + 1);
-        let mut map = memo_write();
-        if map.len() >= MEMO_CAP {
-            map.clear();
-        }
-        map.entry(key).or_insert_with(|| {
-            Arc::new(MemoState {
-                method: method.clone(),
-                events: cx.events.clone(),
-                covered: cx.covered.clone(),
-                inline_budget_left: cx.inline_budget_left,
-                fresh: cx.fresh,
-                spans: spans.clone(),
-            })
-        });
-    }
-
-    let mut log = Vec::new();
-    if flags.contains(crate::event::TraceFlag::PrintCompilation) {
-        log.push(format!("Compiled method {}", cx.method_label));
-    }
-    for e in &cx.events {
-        if let Some(line) = e.log_line(flags) {
-            log.push(line);
-        }
-    }
+    };
     Some(OptOutcome {
-        method,
-        events: cx.events,
-        log,
-        covered: cx.covered,
+        method: snapshot.method.clone(),
+        events: snapshot.events.clone(),
+        log: render_log(&cx.method_label, &snapshot.events, flags),
+        covered: snapshot.covered.clone(),
     })
 }
 
@@ -571,18 +509,12 @@ mod tests {
             static int f(int x) { return x * 2; }
             static void main() {
                 int s = 0;
-                for (int i = 0; i < 4; i++) { s = s + T.f(i); }
+                for (int i = 0; i < 4; i++) { int t = T.f(i); s = s + t; }
                 synchronized (T.class) { s = s + 1; }
                 System.out.println(s);
             }
         }
     "#;
-
-    fn fp(p: &mjava::Program) -> u64 {
-        let mut h = Fnv::new();
-        h.str(&mjava::print(p));
-        h.0
-    }
 
     fn assert_same_outcome(a: &OptOutcome, b: &OptOutcome) {
         assert_eq!(a.method, b.method);
@@ -610,11 +542,11 @@ mod tests {
         )
         .unwrap();
         cache_reset();
-        // Cold (miss), warm (full hit), and every intermediate must agree.
+        // The cold pass (miss) and every warm pass (hit) must agree.
         for pass in 0..3 {
             let memoed = optimize_memo(
                 &p,
-                fp(&p),
+                source_fingerprint(&mjava::print(&p)),
                 "T",
                 "main",
                 &PhaseId::DEFAULT_ORDER,
@@ -629,135 +561,103 @@ mod tests {
         }
     }
 
-    #[test]
-    fn memo_prefix_is_shared_across_round_counts() {
-        let _guard = MEMO_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    /// `optimize_memo` and `optimize` of one config of [`MEMO_SRC`].
+    fn memo_and_direct(method: &str, order: &[PhaseId], limits: OptLimits) -> [OptOutcome; 2] {
         let p = mjava::parse(MEMO_SRC).unwrap();
-        cache_reset();
-        let short = OptLimits {
-            rounds: 2,
+        let fp = source_fingerprint(&mjava::print(&p));
+        [
+            optimize_memo(&p, fp, "T", method, order, limits, &FlagSet::all()).unwrap(),
+            optimize(&p, "T", method, order, limits, &FlagSet::all()).unwrap(),
+        ]
+    }
+
+    fn with_rounds(rounds: usize) -> OptLimits {
+        OptLimits {
+            rounds,
             ..OptLimits::default()
-        };
-        let long = OptLimits {
-            rounds: 3,
-            ..OptLimits::default()
-        };
-        let a = optimize_memo(
-            &p,
-            fp(&p),
-            "T",
-            "main",
-            &PhaseId::DEFAULT_ORDER,
-            short,
-            &FlagSet::all(),
-        )
-        .unwrap();
-        let entries_after_short = cache_stats().entries;
-        // The 3-round config resumes from the 2-round boundary; it must
-        // still match a from-scratch 3-round run exactly.
-        let b = optimize_memo(
-            &p,
-            fp(&p),
-            "T",
-            "main",
-            &PhaseId::DEFAULT_ORDER,
-            long,
-            &FlagSet::all(),
-        )
-        .unwrap();
-        let direct = optimize(
-            &p,
-            "T",
-            "main",
-            &PhaseId::DEFAULT_ORDER,
-            long,
-            &FlagSet::all(),
-        )
-        .unwrap();
-        assert_same_outcome(&direct, &b);
-        assert_eq!(
-            cache_stats().entries,
-            entries_after_short + 1,
-            "resume adds exactly the round-3 boundary"
-        );
-        let direct_short = optimize(
-            &p,
-            "T",
-            "main",
-            &PhaseId::DEFAULT_ORDER,
-            short,
-            &FlagSet::all(),
-        )
-        .unwrap();
-        assert_same_outcome(&direct_short, &a);
+        }
     }
 
     #[test]
-    fn memo_key_separates_programs_limits_and_orders() {
-        let base = memo_key(
-            1,
-            "T",
-            "main",
-            &PhaseId::DEFAULT_ORDER,
-            &OptLimits::default(),
-            2,
-        );
-        assert_ne!(
-            base,
-            memo_key(
-                2,
-                "T",
+    fn a_miss_publishes_one_snapshot() {
+        let _guard = MEMO_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        cache_reset();
+        for rounds in [2, 3] {
+            let before = cache_stats();
+            memo_and_direct("main", &PhaseId::DEFAULT_ORDER, with_rounds(rounds));
+            let after = cache_stats();
+            assert_eq!(after.misses, before.misses + 1, "rounds {rounds}");
+            assert_eq!(after.entries, before.entries + 1, "rounds {rounds}");
+        }
+    }
+
+    #[test]
+    fn round_counts_do_not_share_entries() {
+        let _guard = MEMO_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        cache_reset();
+        for rounds in [2, 3] {
+            let [memoed, direct] =
+                memo_and_direct("main", &PhaseId::DEFAULT_ORDER, with_rounds(rounds));
+            assert_same_outcome(&direct, &memoed);
+        }
+        let stats = cache_stats();
+        assert_eq!((stats.entries, stats.misses, stats.hits), (2, 2, 0));
+    }
+
+    #[test]
+    fn entries_are_keyed_by_their_full_key() {
+        let _guard = MEMO_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let reversed: Vec<PhaseId> = PhaseId::DEFAULT_ORDER.iter().rev().copied().collect();
+        let order = &PhaseId::DEFAULT_ORDER[..];
+        let base = OptLimits::default();
+        let configs = [
+            ("main", order, base),
+            ("f", order, base),
+            ("main", &reversed[..], base),
+            (
                 "main",
-                &PhaseId::DEFAULT_ORDER,
-                &OptLimits::default(),
-                2
-            )
-        );
-        assert_ne!(
-            base,
-            memo_key(
-                1,
-                "T",
-                "other",
-                &PhaseId::DEFAULT_ORDER,
-                &OptLimits::default(),
-                2
-            )
-        );
-        let reordered: Vec<PhaseId> = PhaseId::DEFAULT_ORDER.iter().rev().copied().collect();
-        assert_ne!(
-            base,
-            memo_key(1, "T", "main", &reordered, &OptLimits::default(), 2)
-        );
-        let tuned = OptLimits {
-            unroll_limit: 16,
-            ..OptLimits::default()
-        };
-        assert_ne!(
-            base,
-            memo_key(1, "T", "main", &PhaseId::DEFAULT_ORDER, &tuned, 2)
-        );
-        assert_ne!(
-            base,
-            memo_key(
-                1,
-                "T",
+                order,
+                OptLimits {
+                    unroll_limit: 2,
+                    ..base
+                },
+            ),
+            (
                 "main",
-                &PhaseId::DEFAULT_ORDER,
-                &OptLimits::default(),
-                3
-            )
-        );
-        // rounds is excluded on purpose: prefixes are shared across
-        // configs that differ only in round count.
-        let more_rounds = OptLimits {
-            rounds: 7,
-            ..OptLimits::default()
-        };
-        assert_eq!(
-            base,
-            memo_key(1, "T", "main", &PhaseId::DEFAULT_ORDER, &more_rounds, 2)
-        );
+                order,
+                OptLimits {
+                    inline_max_stmts: 0,
+                    ..base
+                },
+            ),
+        ];
+        cache_reset();
+        // Every config is a cold miss with its own entry, and a warm pass
+        // hits each one; both passes must match `optimize` of that config.
+        for pass in 0..2 {
+            for (n, (method, order, limits)) in configs.iter().enumerate() {
+                let [memoed, direct] = memo_and_direct(method, order, *limits);
+                assert_same_outcome(&direct, &memoed);
+                let stats = cache_stats();
+                let cold = if pass == 0 { n + 1 } else { configs.len() };
+                assert_eq!(stats.misses as usize, cold, "config {n}, pass {pass}");
+                assert_eq!(stats.entries, cold, "config {n}, pass {pass}");
+            }
+        }
+        // The configs compile to pairwise different outcomes, so a lookup
+        // served from another config's entry could not have matched above.
+        let outcomes: Vec<(mjava::Method, Vec<OptEvent>)> = configs
+            .iter()
+            .map(|(method, order, limits)| {
+                let [_, direct] = memo_and_direct(method, order, *limits);
+                (direct.method, direct.events)
+            })
+            .collect();
+        for (i, a) in outcomes.iter().enumerate() {
+            for b in &outcomes[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
     }
 
     #[test]

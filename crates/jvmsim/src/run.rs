@@ -305,15 +305,16 @@ fn run_jvm_inner(
             };
             let label = format!("{class_name}::{method_name}");
             run.compiled.push(label.clone());
-            run.log.extend(out.log.iter().cloned());
-            run.events.extend(out.events.iter().cloned());
+            run.log.extend(out.log);
+            let first = run.events.len();
+            run.events.extend(out.events);
             for block in &out.covered {
                 run.coverage.mark(tier_area, *block);
             }
             // Bug evaluation on this compilation's events.
             let mut method = out.method;
             for bug in &armed_bugs {
-                if !bug.fires(&out.events) {
+                if !bug.fires(&run.events[first..]) {
                     continue;
                 }
                 match bug.kind {
