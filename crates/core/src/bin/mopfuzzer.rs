@@ -213,10 +213,12 @@ fn print_usage() {
                                    a wedged mutant cannot stall the\n\
                                    campaign. Journals stay bit-identical\n\
                                    at any --jobs\n\
-           --jobs N                worker threads executing rounds (default:\n\
-                                   all hardware threads). Journals, results\n\
-                                   and corpus flushes are bit-identical at\n\
-                                   any worker count\n\
+           --jobs N                worker threads executing rounds of a plain\n\
+                                   campaign (default: all hardware threads).\n\
+                                   Journals and results are bit-identical at\n\
+                                   any worker count. Corpus campaigns run\n\
+                                   serially: they default to 1 and refuse\n\
+                                   more\n\
            --retries N             retries per faulted round (default 2)\n\
            --quarantine-threshold N  failed rounds before a (seed, mutator)\n\
                                    pair is quarantined (default 2)\n\
@@ -290,12 +292,6 @@ struct CliOptions {
     exec_mode: jexec::ExecMode,
     supervisor: SupervisorConfig,
     fault: Option<FaultPlan>,
-}
-
-/// `--jobs` default: every hardware thread. Campaign output is identical
-/// at any worker count, so there is no correctness reason to default low.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 fn parse_args(args: &[String]) -> Result<CliOptions, String> {
@@ -421,10 +417,7 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         corpus: map.get("corpus").map(PathBuf::from),
         promote_threshold: num(&map, "promote-threshold")?,
         gc_streak: num(&map, "gc-streak")?,
-        jobs: match num::<usize>(&map, "jobs")? {
-            Some(0) => return Err("bad --jobs (must be >= 1)".to_string()),
-            jobs => jobs,
-        },
+        jobs: num(&map, "jobs")?,
         exec_mode: match map.get("exec-mode").copied() {
             None | Some("threaded") => jexec::ExecMode::Threaded,
             Some("interp") => jexec::ExecMode::Interp,
@@ -633,7 +626,7 @@ fn finish_telemetry(options: &CliOptions, meta: &[(&str, String)]) -> Result<(),
 }
 
 fn run_campaign_mode(options: &CliOptions) -> Result<(), String> {
-    let jobs = options.jobs.unwrap_or_else(default_jobs);
+    let jobs = mopfuzzer::resolve_jobs(options.jobs, options.corpus.is_some())?;
     let config = CampaignConfig {
         iterations_per_seed: options.iterations,
         variant: if options.guided {
@@ -992,15 +985,26 @@ fn run_resume(journal: &Path, options: &CliOptions) -> Result<(), String> {
     let mut sink = metrics_sink(options)?;
     let started = std::time::Instant::now();
     let observer = sink.as_mut().map(|s| s as &mut dyn CampaignObserver);
-    let jobs = options.jobs.unwrap_or_else(default_jobs);
-    let result = resume_campaign_extended(journal, options.rounds, Some(jobs), observer)?;
+    let result = resume_campaign_extended(journal, options.rounds, options.jobs, observer)?;
     if let Some(sink) = &sink {
         sink.finish();
     }
-    finish_telemetry(
-        options,
-        &trace_meta(jobs, options.rounds.unwrap_or(0), options.rng, started),
-    )?;
+    // The trace describes the resumed campaign: read its identity and
+    // resolve the worker count exactly as the library did.
+    let meta = match &options.trace_out {
+        None => Vec::new(),
+        Some(_) => {
+            let contents = mopfuzzer::read_journal(journal)?;
+            let jobs = mopfuzzer::resolve_jobs(options.jobs, contents.corpus.is_some())?;
+            trace_meta(
+                jobs,
+                contents.config.rounds,
+                contents.config.rng_seed,
+                started,
+            )
+        }
+    };
+    finish_telemetry(options, &meta)?;
     print_campaign_summary(&result, streaming);
     maybe_print_interrupted(&result, Some(journal), streaming);
     Ok(())

@@ -42,7 +42,9 @@ pub struct CampaignConfig {
     /// Any value produces bit-identical journals and results: workers
     /// speculate rounds ahead and the coordinator merges them in strict
     /// round order (see `supervisor`), so `jobs` buys wall-clock time
-    /// only. Not journaled — a journal resumes at any worker count.
+    /// only. Not journaled — a plain journal resumes at any worker count.
+    /// Corpus campaigns run serially and refuse `jobs > 1` (see
+    /// [`resolve_jobs`]).
     pub jobs: usize,
 }
 
@@ -67,6 +69,26 @@ impl CampaignConfig {
 /// `--jobs` is the one parallelism knob.
 pub const ORACLE_JOBS_REMOVED: &str = "--oracle-jobs (spec field \"oracle_jobs\") was removed: \
      the differential oracle runs the pool serially; use --jobs to run rounds in parallel";
+
+/// The error for `jobs > 1` on a corpus campaign.
+const CORPUS_JOBS_SERIAL: &str = "--jobs (spec field \"jobs\") must be 1 for a corpus campaign: \
+     the power scheduler picks each round's seed from the merged results of every round \
+     before it, so corpus campaigns run serially; run several campaigns to use more cores";
+
+/// Resolves a requested worker count for a campaign, in the one place
+/// the CLI, the daemon and [`resume_campaign_extended`] share. Plain
+/// campaigns default to every hardware thread; corpus campaigns default
+/// to 1 and refuse more, because speculating ahead of the power
+/// scheduler mostly guesses wrong. `Some(0)` is an error.
+pub fn resolve_jobs(requested: Option<usize>, corpus: bool) -> Result<usize, String> {
+    match requested {
+        Some(0) => Err("--jobs (spec field \"jobs\") must be >= 1".to_string()),
+        Some(jobs) if jobs > 1 && corpus => Err(CORPUS_JOBS_SERIAL.to_string()),
+        Some(jobs) => Ok(jobs),
+        None if corpus => Ok(1),
+        None => Ok(std::thread::available_parallelism().map_or(1, usize::from)),
+    }
+}
 
 /// One deduplicated bug discovery.
 #[derive(Debug, Clone, PartialEq)]
@@ -362,6 +384,7 @@ fn flush_corpus(
 /// admitted back into the store, and the store's quarantine carries across
 /// campaigns. With a journal path the campaign checkpoints every round and
 /// [`resume_campaign`] restores corpus mode from the journal header.
+/// Corpus campaigns run serially: `config.jobs > 1` is an error.
 pub fn run_corpus_campaign(
     store: &mut jcorpus::Store,
     config: &CampaignConfig,
@@ -383,6 +406,9 @@ pub fn run_corpus_campaign_with(
     observer: Option<&mut dyn CampaignObserver>,
     fs: Arc<dyn Vfs>,
 ) -> Result<CampaignResult, String> {
+    if config.jobs > 1 {
+        return Err(CORPUS_JOBS_SERIAL.to_string());
+    }
     if store.is_empty() {
         return Err(format!(
             "corpus store at {} is empty: run `corpus init` or `corpus import` first",
@@ -420,7 +446,7 @@ pub fn run_corpus_campaign_with(
 /// execution share one accounting code path. A truncated trailing line
 /// (killed mid-write) is dropped and its round re-executed.
 pub fn resume_campaign(path: &Path) -> Result<CampaignResult, String> {
-    resume_campaign_extended(path, None, None, None)
+    resume_campaign_extended(path, None, Some(1), None)
 }
 
 /// [`resume_campaign`] that can also *extend* a finished campaign: when
@@ -430,19 +456,19 @@ pub fn resume_campaign(path: &Path) -> Result<CampaignResult, String> {
 /// below the number of already-journaled rounds is an error — those rounds
 /// happened and cannot be unhappened.
 ///
-/// `jobs_override` picks the worker count for the remaining live rounds;
-/// the journal does not record it (any count yields identical output).
+/// `jobs` is the requested worker count for the remaining live rounds,
+/// resolved by [`resolve_jobs`] against the journal's mode (a corpus
+/// journal refuses `jobs > 1` before the journal is rewritten). The
+/// journal does not record it (any count yields identical output).
 pub fn resume_campaign_extended(
     path: &Path,
     rounds_override: Option<usize>,
-    jobs_override: Option<usize>,
+    jobs: Option<usize>,
     observer: Option<&mut dyn CampaignObserver>,
 ) -> Result<CampaignResult, String> {
     let contents = journal::read_journal(path)?;
     let mut config = contents.config;
-    if let Some(jobs) = jobs_override {
-        config.jobs = jobs.max(1);
-    }
+    config.jobs = resolve_jobs(jobs, contents.corpus.is_some())?;
     if let Some(rounds) = rounds_override {
         if rounds < contents.records.len() {
             return Err(format!(

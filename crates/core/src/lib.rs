@@ -17,7 +17,8 @@
 //! * [`journal`] — JSONL checkpoints making campaigns resumable with
 //!   bit-identical results;
 //! * `pool` (internal) — the process-wide work pool that runs the
-//!   round-level engine's (`--jobs`) speculative rounds;
+//!   round-level engine's (`--jobs`) speculative rounds of plain
+//!   campaigns;
 //! * [`variant`] — the §4.4 ablations (`MopFuzzer_g`, `MopFuzzer_r`);
 //! * [`corpus`] — built-in and generated regression-test-style seeds;
 //! * [`stats`] — Table 5 mutator/pair ratios and Figure 1 trajectories.
@@ -51,7 +52,7 @@ pub mod variant;
 mod watchdog;
 
 pub use campaign::{
-    resume_campaign, resume_campaign_extended, run_campaign, run_campaign_observed,
+    resolve_jobs, resume_campaign, resume_campaign_extended, run_campaign, run_campaign_observed,
     run_campaign_with_journal, run_campaign_with_journal_observed, run_corpus_campaign,
     run_corpus_campaign_with, CampaignConfig, CampaignObserver, CampaignResult, CorpusOptions,
     FoundBug, ORACLE_JOBS_REMOVED,

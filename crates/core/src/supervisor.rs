@@ -38,7 +38,7 @@ use jvmsim::fault::{MUTATOR_PANIC_MARKER, VM_PANIC_MARKER};
 use jvmsim::{run_jvm, Component, JvmSpec, RunOptions, Verdict};
 use mjava::Program;
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::{mpsc, Arc};
 
@@ -580,7 +580,7 @@ fn run_attempt(
 /// `skip` and `banned` are passed as data rather than read from a
 /// [`Quarantine`] so the round is a pure function of its inputs — workers
 /// execute it speculatively on snapshots and the coordinator validates the
-/// snapshot afterwards (see [`run_parallel_rounds`]).
+/// snapshot afterwards (see [`Speculation`]).
 fn execute_round(
     round: usize,
     seed: &Seed,
@@ -694,21 +694,18 @@ fn execute_round(
 }
 
 /// Decides whether an `Ok` round's final mutant earns promotion, and if so
-/// minimizes it with jreduce and fingerprints the result. A pure function
-/// of its arguments (admission happens in [`apply_record`], the shared
-/// live/replay path); all oracle runs are fault-free and deterministic.
-/// `seed_program` is the program the round fuzzed and `fingerprints` the
-/// set of behaviours already in the corpus — passed as data so workers can
-/// evaluate promotion on a snapshot (the coordinator re-checks the
-/// fingerprint against authoritative state at merge time).
+/// minimizes it with jreduce and fingerprints the result. Reads `ctx`
+/// only (admission happens in [`apply_record`], the shared live/replay
+/// path); all oracle runs are fault-free and deterministic.
+/// `seed_program` is the program the round fuzzed.
 fn consider_promotion(
     record: &RoundRecord,
     mutant: &Program,
     seed_program: &Program,
-    fingerprints: &HashSet<u64>,
-    promote_threshold: f64,
+    ctx: &CorpusCtx,
     config: &CampaignConfig,
 ) -> Option<PromotionRecord> {
+    let promote_threshold = ctx.promote_threshold;
     let reason = if let Some(crash) = &record.crash {
         PromotionReason::Bug(crash.id.clone())
     } else if let Some(bug) = record.diff_bugs.first() {
@@ -760,7 +757,7 @@ fn consider_promotion(
     let fp = jcorpus::fingerprint(&reduced).ok()?;
     execs += 1;
     steps += fp.steps;
-    if fingerprints.contains(&fp.fingerprint) {
+    if ctx.fingerprints.contains(&fp.fingerprint) {
         return None; // behaviour already in the corpus
     }
     Some(PromotionRecord {
@@ -804,6 +801,14 @@ fn update_gauges(
 /// records, then execute (and journal) the remaining rounds. When an
 /// observer is attached it is notified after every live round (replayed
 /// rounds are not re-reported).
+///
+/// This is the one round loop. With `config.jobs > 1` on a plain campaign
+/// a [`Speculation`] executes rounds ahead on the shared pool and hands
+/// the loop a validated record; whenever it cannot, the loop executes
+/// the round inline. Corpus campaigns always run inline: the power
+/// scheduler's pick for round r+k reads every entry's energy after round
+/// r+k−1 has merged, so speculating ahead of it mostly guesses wrong
+/// (the library entry points refuse `jobs > 1` for them).
 pub(crate) fn run_supervised(
     seeds: &[Seed],
     config: &CampaignConfig,
@@ -848,20 +853,8 @@ pub(crate) fn run_supervised(
             corpus.as_deref(),
         );
     }
-    if config.jobs > 1 {
-        run_parallel_rounds(
-            seeds,
-            config,
-            &mut writer,
-            replay.len(),
-            &mut observer,
-            &mut corpus,
-            &mut result,
-            &mut seen,
-            &mut quarantine,
-        );
-        return result;
-    }
+    let mut speculation =
+        (config.jobs > 1 && corpus.is_none()).then(|| Speculation::new(config, replay.len()));
     for round in replay.len()..config.rounds {
         if crate::interrupt::requested() {
             // Graceful stop: everything merged so far is journaled; the
@@ -896,17 +889,20 @@ pub(crate) fn run_supervised(
         };
         let skip = quarantine.seed_blocked(&seed.name);
         let banned = quarantine.banned_mutators(&seed.name);
-        let (mut record, mutant) = execute_round(round, &seed, config, skip, &banned);
-        if let (Some(ctx), Some(mutant)) = (corpus.as_deref_mut(), mutant.as_ref()) {
-            record.promotion = consider_promotion(
-                &record,
-                mutant,
-                &seed.program,
-                &ctx.fingerprints,
-                ctx.promote_threshold,
-                config,
-            );
-        }
+        let speculated = speculation
+            .as_mut()
+            .and_then(|s| s.take(round, seeds, &quarantine, skip, &banned));
+        let record = match speculated {
+            Some(record) => record,
+            None => {
+                let (mut record, mutant) = execute_round(round, &seed, config, skip, &banned);
+                if let (Some(ctx), Some(mutant)) = (corpus.as_deref(), mutant.as_ref()) {
+                    record.promotion =
+                        consider_promotion(&record, mutant, &seed.program, ctx, config);
+                }
+                record
+            }
+        };
         if let Some(w) = writer.as_deref_mut() {
             // A failing journal must not kill the campaign it protects.
             if let Err(e) = w.write_round(&record) {
@@ -934,19 +930,21 @@ pub(crate) fn run_supervised(
             obs.round_finished(round, &result);
         }
     }
+    // Dropping `speculation` orphans any in-flight rounds: their sends
+    // fail and the results evaporate, as if never computed.
     result
 }
 
-/// Folds pairs quarantined by *concurrent* campaigns into this one: the
-/// store's on-disk quarantine file (which every campaign over the store
-/// appends to at its final flush) is re-read each round, and new pairs are
-/// preloaded — banned immediately, never re-reported in
-/// [`CampaignResult::quarantined`]. This is a live-only overlay: it is not
-/// journaled, so replay/resume see only the header's `preq` snapshot plus
-/// whatever the file holds at resume time. With no concurrent writer the
-/// file is static and the overlay is a deterministic no-op, which is what
-/// keeps `--jobs N` runs bit-identical. Unknown mutator names (a store
-/// shared with a newer binary) are skipped, not fatal.
+/// Folds pairs quarantined by *concurrent* campaigns over the same store
+/// into this one: the store's on-disk quarantine file (which every
+/// campaign over the store appends to at its final flush) is re-read each
+/// round, and new pairs are preloaded — banned immediately, never
+/// re-reported in [`CampaignResult::quarantined`]. This is a live-only
+/// overlay: it is not journaled, so replay/resume see only the header's
+/// `preq` snapshot plus whatever the file holds at resume time. With no
+/// concurrent writer the file is static and the overlay is a
+/// deterministic no-op. Unknown mutator names (a store shared with a
+/// newer binary) are skipped, not fatal.
 fn refresh_external_quarantine(ctx: &mut CorpusCtx, quarantine: &mut Quarantine) {
     let Ok(pairs) = jcorpus::read_quarantine_dir(ctx.store.dir()) else {
         return;
@@ -970,10 +968,10 @@ fn refresh_external_quarantine(ctx: &mut CorpusCtx, quarantine: &mut Quarantine)
     }
 }
 
-/// One speculative round execution, shipped to a worker. `skip`, `banned`
-/// and `promo` are snapshots of coordinator state at dispatch time; the
-/// coordinator validates them against authoritative state before accepting
-/// the result.
+/// One speculative round execution, shipped to a worker. `skip` and
+/// `banned` are snapshots of coordinator state at dispatch time; the
+/// coordinator validates them against authoritative state before
+/// accepting the result.
 struct WorkerTask {
     round: usize,
     seed: Seed,
@@ -984,47 +982,37 @@ struct WorkerTask {
     /// task and ship its snapshot and trace back (the coordinator's
     /// session absorbs both on acceptance).
     telemetry: Option<jtelemetry::SessionSpec>,
-    promo: Option<PromoInputs>,
-}
-
-/// Corpus promotion inputs snapshotted at dispatch time.
-struct PromoInputs {
-    fingerprints: Arc<HashSet<u64>>,
-    promote_threshold: f64,
 }
 
 /// A speculatively executed round plus the inputs it was computed from.
+/// The seed is not among them: a plain campaign's seed for round r is
+/// `seeds[r % len]` at dispatch and at merge alike.
 struct WorkerOutput {
     round: usize,
-    seed: String,
     skip: bool,
     banned: Vec<MutatorKind>,
-    record: RoundRecord,
+    /// `None` when the task body escaped its panic boundary (a harness
+    /// bug, not an injected fault — those are contained inside
+    /// [`execute_round`]). Such a poisoned output never merges; the
+    /// coordinator re-executes the round inline.
+    record: Option<RoundRecord>,
     metrics: Option<jtelemetry::MetricsSnapshot>,
     /// Trace spans the task recorded, for in-order absorption on
     /// acceptance (empty when the coordinator is not tracing).
     trace: Vec<jtelemetry::TraceEvent>,
-    /// The task body escaped its panic boundary (a harness bug, not an
-    /// injected fault — those are contained inside [`execute_round`]).
-    /// Poisoned outputs never merge; the coordinator re-executes inline.
-    /// Pool threads outlive any one campaign, so a dead-worker fallback
-    /// no longer exists — this sentinel replaces it.
-    poisoned: bool,
 }
 
 /// One speculative round execution, run as a pool job. Rounds are
 /// self-contained (seed-derived RNG, per-attempt flight rebasing,
 /// work-meter deltas), so executing them on any thread produces the exact
 /// record a serial run would. Always sends exactly one output — even when
-/// the body panics — so the coordinator's merge loop never hangs on a
-/// round it dispatched.
+/// the body panics — so the coordinator never waits on a round it
+/// dispatched.
 fn run_worker_task(
     task: WorkerTask,
     config: &CampaignConfig,
     results: &mpsc::Sender<WorkerOutput>,
 ) {
-    let (round, skip) = (task.round, task.skip);
-    let (seed_name, banned) = (task.seed.name.clone(), task.banned.clone());
     let body = pool::quiet_catch_unwind(|| {
         // Pool threads are shared across campaigns and tasks: drop any
         // session a previous occupant left behind before installing ours.
@@ -1032,18 +1020,7 @@ fn run_worker_task(
         if let Some(spec) = task.telemetry {
             jtelemetry::install(jtelemetry::Session::from_spec(spec));
         }
-        let (mut record, mutant) =
-            execute_round(task.round, &task.seed, config, task.skip, &task.banned);
-        if let (Some(promo), Some(mutant)) = (&task.promo, mutant.as_ref()) {
-            record.promotion = consider_promotion(
-                &record,
-                mutant,
-                &task.seed.program,
-                &promo.fingerprints,
-                promo.promote_threshold,
-                config,
-            );
-        }
+        let (record, _) = execute_round(task.round, &task.seed, config, task.skip, &task.banned);
         let (metrics, trace) = match jtelemetry::take() {
             Some(mut session) => {
                 let trace = session.take_trace();
@@ -1053,183 +1030,98 @@ fn run_worker_task(
         };
         (record, metrics, trace)
     });
-    let output = match body {
-        Ok((record, metrics, trace)) => WorkerOutput {
-            round,
-            seed: seed_name,
-            skip,
-            banned,
-            record,
-            metrics,
-            trace,
-            poisoned: false,
-        },
+    let (record, metrics, trace) = match body {
+        Ok((record, metrics, trace)) => (Some(record), metrics, trace),
         Err(_) => {
             drop(jtelemetry::take()); // don't leak a partial session
-            WorkerOutput {
-                round,
-                seed: seed_name,
-                skip,
-                banned,
-                record: RoundRecord {
-                    round,
-                    seed: String::new(),
-                    disposition: Disposition::Skipped,
-                    fuzz_execs: 0,
-                    fuzz_steps: 0,
-                    diff: None,
-                    final_delta: 0.0,
-                    inconclusive: false,
-                    errors: Vec::new(),
-                    crash: None,
-                    diff_bugs: Vec::new(),
-                    coverage: jvmsim::CoverageMap::new(),
-                    fault_pair: None,
-                    wasted_steps: 0,
-                    wasted_execs: 0,
-                    promotion: None,
-                },
-                metrics: None,
-                trace: Vec::new(),
-                poisoned: true,
-            }
+            (None, None, Vec::new())
         }
     };
     // A send can only fail once the coordinator has stopped merging
-    // (budget stop / exhaustion); the speculative result is then dead.
-    let _ = results.send(output);
+    // (budget stop or interrupt); the speculative result is then dead.
+    let _ = results.send(WorkerOutput {
+        round: task.round,
+        skip: task.skip,
+        banned: task.banned,
+        record,
+        metrics,
+        trace,
+    });
 }
 
-/// The multi-worker round engine: workers execute rounds speculatively
-/// ahead of the merge point; the coordinator merges records in strict
-/// round order, so journals, results and corpus flushes are bit-identical
-/// to the serial loop at any worker count.
-///
-/// The protocol per merged round:
-/// 1. refresh the cross-campaign quarantine overlay, check budgets, and
-///    compute the round's *authoritative* inputs (seed pick, skip flag,
-///    banned mutators) from post-merge state — exactly as the serial loop
-///    would at this point;
-/// 2. top up the speculation window (`2 × jobs` rounds ahead) with tasks
-///    built from current state. The head-of-line round is dispatched from
-///    authoritative state, so a quiet pipeline always validates;
-/// 3. take the round's speculative output and compare the inputs it was
-///    computed from against the authoritative ones. On a match the record
-///    is accepted (with one fix-up: a promotion whose fingerprint was
-///    admitted by an intervening merge is dropped, as the serial run
-///    would have declined it) and its telemetry snapshot is absorbed; on
-///    a mismatch the round is re-executed synchronously right here with
-///    the authoritative inputs, and the stale output is discarded along
-///    with its telemetry — the serial run never did that work;
-/// 4. journal, fold via [`apply_record`], update gauges, notify.
-///
-/// A budget stop or scheduler exhaustion breaks the loop; the output
-/// channel is dropped with it, so any still-in-flight speculation is
-/// discarded unmerged (its send fails silently), exactly as if the serial
-/// loop had stopped there.
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_rounds(
-    seeds: &[Seed],
-    config: &CampaignConfig,
-    writer: &mut Option<&mut JournalWriter>,
-    first_round: usize,
-    observer: &mut Option<&mut dyn crate::campaign::CampaignObserver>,
-    corpus: &mut Option<&mut CorpusCtx>,
-    result: &mut CampaignResult,
-    seen: &mut HashSet<String>,
-    quarantine: &mut Quarantine,
-) {
-    let threshold = config.supervisor.quarantine_threshold;
-    let telemetry = jtelemetry::enabled();
-    // Workers inherit the coordinator session's shape so speculative
-    // rounds record the same event classes a serial loop would.
-    let session_spec = jtelemetry::session_spec();
-    let window = config.jobs.max(2) * 2;
-    // Round jobs go to the shared process-wide pool (capacity is the max
-    // of every campaign's request, so concurrent campaigns can't
-    // oversubscribe each other). One config clone serves the campaign.
-    let shared_config = Arc::new(config.clone());
-    pool::shared().ensure_capacity(config.jobs);
-    let (out_tx, out_rx) = mpsc::channel::<WorkerOutput>();
+/// Speculative round execution for a plain campaign at `jobs > 1`.
+/// Workers execute rounds ahead of the merge point on the shared pool;
+/// [`Speculation::take`] hands [`run_supervised`] round r's record once it
+/// validates against the loop's authoritative inputs, so journals,
+/// results and telemetry totals are bit-identical to the serial loop at
+/// any worker count. A plain campaign's seed rotation is fixed, so the
+/// only possible mispredict is a quarantine that landed between dispatch
+/// and merge.
+struct Speculation {
+    /// One config clone serves every task of the campaign.
+    config: Arc<CampaignConfig>,
+    /// Workers inherit the coordinator session's shape so speculative
+    /// rounds record the same event classes a serial loop would.
+    session: Option<jtelemetry::SessionSpec>,
+    /// Rounds kept in flight ahead of the merge point.
+    window: usize,
+    next_dispatch: usize,
+    /// Outputs that arrived ahead of their merge point.
+    pending: HashMap<usize, WorkerOutput>,
+    tx: mpsc::Sender<WorkerOutput>,
+    rx: mpsc::Receiver<WorkerOutput>,
+}
 
-    let mut pending: BTreeMap<usize, WorkerOutput> = BTreeMap::new();
-    let mut dispatched: HashSet<usize> = HashSet::new();
-    let mut next_dispatch = first_round;
+impl Speculation {
+    fn new(config: &CampaignConfig, first_round: usize) -> Speculation {
+        // Round jobs go to the shared process-wide pool (capacity is the
+        // max of every campaign's request, so concurrent campaigns can't
+        // oversubscribe each other).
+        pool::shared().ensure_capacity(config.jobs);
+        let (tx, rx) = mpsc::channel();
+        Speculation {
+            config: Arc::new(config.clone()),
+            session: jtelemetry::session_spec(),
+            window: config.jobs * 2,
+            next_dispatch: first_round,
+            pending: HashMap::new(),
+            tx,
+            rx,
+        }
+    }
 
-    for round in first_round..config.rounds {
-        if crate::interrupt::requested() {
-            // Graceful stop at the merge point: rounds merged so far are
-            // journaled; in-flight speculation is discarded when the
-            // output channel drops, exactly like a budget stop.
-            result.interrupted = true;
-            break;
-        }
-        if let Some(ctx) = corpus.as_deref_mut() {
-            refresh_external_quarantine(ctx, quarantine);
-        }
-        if let Some(stop) = budget_stop(result, &config.supervisor, round) {
-            result.round_errors.push(stop.clone());
-            result.stopped = Some(stop);
-            break;
-        }
-        let seed = match corpus.as_deref_mut() {
-            Some(ctx) => match ctx.scheduler.pick(round, config.rng_seed) {
-                Some(name) => {
-                    let program = ctx
-                        .programs
-                        .get(&name)
-                        .expect("scheduled entry has a program")
-                        .clone();
-                    Seed { name, program }
-                }
-                None => break, // everything quarantined
-            },
-            None => seeds[round % seeds.len()].clone(),
-        };
-        let skip = quarantine.seed_blocked(&seed.name);
-        let banned = quarantine.banned_mutators(&seed.name);
-        while next_dispatch < config.rounds && next_dispatch < round + window {
-            let spec_round = next_dispatch;
-            let spec_seed = if spec_round == round {
-                Some(seed.clone())
-            } else {
-                match corpus.as_deref() {
-                    Some(ctx) => ctx.scheduler.pick(spec_round, config.rng_seed).map(|name| {
-                        let program = ctx
-                            .programs
-                            .get(&name)
-                            .expect("scheduled entry has a program")
-                            .clone();
-                        Seed { name, program }
-                    }),
-                    None => Some(seeds[spec_round % seeds.len()].clone()),
-                }
-            };
-            let Some(spec_seed) = spec_seed else {
-                // The scheduler predicts exhaustion; the authoritative
-                // decision is made at this round's own merge point
-                // (a promotion may yet unblock it).
-                break;
-            };
+    /// Tops up the window with tasks built from the current quarantine —
+    /// round `round` itself is thus always dispatched from authoritative
+    /// state — then waits for round `round`'s output. Returns its record
+    /// when the output is healthy and was computed from `skip` and
+    /// `banned`, absorbing its telemetry; otherwise discards the output
+    /// with its telemetry (the serial run never did that work) and
+    /// returns `None`, and the caller executes the round inline.
+    fn take(
+        &mut self,
+        round: usize,
+        seeds: &[Seed],
+        quarantine: &Quarantine,
+        skip: bool,
+        banned: &[MutatorKind],
+    ) -> Option<RoundRecord> {
+        while self.next_dispatch < self.config.rounds && self.next_dispatch < round + self.window {
+            let spec_round = self.next_dispatch;
+            let seed = seeds[spec_round % seeds.len()].clone();
             let task = WorkerTask {
                 round: spec_round,
-                skip: quarantine.seed_blocked(&spec_seed.name),
-                banned: quarantine.banned_mutators(&spec_seed.name),
-                telemetry: session_spec,
-                promo: corpus.as_deref().map(|ctx| PromoInputs {
-                    fingerprints: Arc::new(ctx.fingerprints.clone()),
-                    promote_threshold: ctx.promote_threshold,
-                }),
-                seed: spec_seed,
+                skip: quarantine.seed_blocked(&seed.name),
+                banned: quarantine.banned_mutators(&seed.name),
+                telemetry: self.session,
+                seed,
             };
-            let job_config = Arc::clone(&shared_config);
-            let job_results = out_tx.clone();
+            let config = Arc::clone(&self.config);
+            let results = self.tx.clone();
             pool::shared().submit(Box::new(move || {
-                run_worker_task(task, &job_config, &job_results);
+                run_worker_task(task, &config, &results);
             }));
             jtelemetry::trace_sched_instant("dispatch", || vec![("round", spec_round.to_string())]);
-            dispatched.insert(spec_round);
-            next_dispatch += 1;
+            self.next_dispatch += 1;
         }
         let output = {
             // Scheduler-lane attribution: how long the coordinator sat
@@ -1238,107 +1130,37 @@ fn run_parallel_rounds(
             let _wait =
                 jtelemetry::trace_sched_span("merge_wait", || vec![("round", round.to_string())]);
             loop {
-                if let Some(found) = pending.remove(&round) {
-                    break Some(found);
+                if let Some(found) = self.pending.remove(&round) {
+                    break found;
                 }
-                if !dispatched.contains(&round) {
-                    break None;
-                }
-                match out_rx.recv() {
-                    Ok(incoming) => {
-                        pending.insert(incoming.round, incoming);
-                    }
-                    Err(_) => break None, // unreachable: we hold a sender
-                }
+                let incoming = self
+                    .rx
+                    .recv()
+                    .expect("the speculation holds a sender, so the channel stays open");
+                self.pending.insert(incoming.round, incoming);
             }
         };
-        dispatched.remove(&round);
-        let validates = |output: &WorkerOutput| {
-            !output.poisoned
-                && output.seed == seed.name
-                && output.skip == skip
-                && output.banned == banned
-        };
-        let (record, metrics, trace) = match output {
-            Some(output) if validates(&output) => {
-                let mut record = output.record;
-                if let (Some(ctx), Some(promo)) = (corpus.as_deref(), record.promotion.as_ref()) {
-                    if ctx.fingerprints.contains(&promo.fingerprint) {
-                        // An intervening merge admitted this behaviour:
-                        // the serial run's promotion check would have
-                        // seen the fingerprint and declined, so decline
-                        // here too.
-                        record.promotion = None;
-                    }
+        match output.record {
+            Some(record) if output.skip == skip && output.banned == banned => {
+                if let Some(snapshot) = &output.metrics {
+                    jtelemetry::absorb(snapshot);
                 }
-                (record, output.metrics, output.trace)
+                jtelemetry::absorb_trace(&output.trace);
+                Some(record)
             }
             stale => {
-                // Mispredicted inputs, poisoned, or never dispatched:
-                // execute here with the authoritative ones. The stale
-                // output's telemetry and trace are discarded with it —
-                // the serial run never did that work.
-                if let Some(stale) = &stale {
-                    jtelemetry::trace_sched_instant("speculation_wasted", || {
-                        vec![
-                            ("round", round.to_string()),
-                            (
-                                "reason",
-                                if stale.poisoned {
-                                    "poisoned".to_string()
-                                } else {
-                                    "mispredicted".to_string()
-                                },
-                            ),
-                        ]
-                    });
-                }
-                let (mut record, mutant) = execute_round(round, &seed, config, skip, &banned);
-                if let (Some(ctx), Some(mutant)) = (corpus.as_deref(), mutant.as_ref()) {
-                    record.promotion = consider_promotion(
-                        &record,
-                        mutant,
-                        &seed.program,
-                        &ctx.fingerprints,
-                        ctx.promote_threshold,
-                        config,
-                    );
-                }
-                (record, None, Vec::new())
+                let reason = if stale.is_none() {
+                    "poisoned"
+                } else {
+                    "mispredicted"
+                };
+                jtelemetry::trace_sched_instant("speculation_wasted", || {
+                    vec![("round", round.to_string()), ("reason", reason.to_string())]
+                });
+                None
             }
-        };
-        if let Some(snapshot) = &metrics {
-            jtelemetry::absorb(snapshot);
-        }
-        jtelemetry::absorb_trace(&trace);
-        if let Some(w) = writer.as_deref_mut() {
-            if let Err(e) = w.write_round(&record) {
-                eprintln!("warning: journal write failed: {e}");
-            }
-        }
-        apply_record(
-            result,
-            seen,
-            quarantine,
-            &record,
-            threshold,
-            corpus.as_deref_mut(),
-        );
-        if telemetry {
-            update_gauges(
-                result,
-                round + 1,
-                config.rounds,
-                seeds.len(),
-                corpus.as_deref(),
-            );
-        }
-        if let Some(obs) = observer.as_deref_mut() {
-            obs.round_finished(round, result);
         }
     }
-    // Dropping out_rx (with out_tx) orphans any in-flight speculation:
-    // its sends fail and the results evaporate, as if never computed.
 }
 
 #[cfg(test)]

@@ -34,6 +34,63 @@ fn removed_oracle_jobs_flag_points_at_jobs() {
     assert!(stderr.contains("--jobs"), "{stderr}");
 }
 
+/// Corpus campaigns run serially: `--jobs 2` on a corpus campaign, or on
+/// `--resume` of a corpus journal, exits non-zero naming `--jobs`, and
+/// writes nothing.
+#[test]
+fn corpus_campaign_refuses_parallel_jobs() {
+    let dir = std::env::temp_dir().join(format!("mop_cli_corpus_jobs_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.join("store");
+    let journal = dir.join("campaign.jsonl");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = bin()
+        .args(["corpus", "init", store.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let campaign = |jobs: &str| {
+        bin()
+            .args([
+                "--rounds",
+                "1",
+                "--iterations",
+                "4",
+                "--corpus",
+                store.to_str().unwrap(),
+                "--journal",
+                journal.to_str().unwrap(),
+                "--jobs",
+                jobs,
+            ])
+            .output()
+            .expect("binary runs")
+    };
+    let out = campaign("2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("--jobs"), "{stderr}");
+    assert!(!journal.exists(), "a refused campaign created its journal");
+
+    let out = campaign("1");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let written = std::fs::read(&journal).unwrap();
+    let out = bin()
+        .args(["--resume", journal.to_str().unwrap(), "--jobs", "2"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("--jobs"), "{stderr}");
+    assert_eq!(std::fs::read(&journal).unwrap(), written);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The fenced code blocks of README.md and DESIGN.md, with the file each
 /// came from.
 fn doc_code_blocks() -> Vec<(&'static str, String)> {

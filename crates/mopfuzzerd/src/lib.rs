@@ -12,10 +12,11 @@
 //! | `GET /metrics` | live Prometheus page aggregated across tenants, plus per-tenant `{campaign="id"}` samples |
 //! | `GET /healthz` | liveness probe (`ok`) |
 //!
-//! Campaigns run on per-tenant driver threads multiplexed onto the one
-//! process-wide work pool (capacity = the max of the tenants' `jobs`,
-//! never the sum), gated by a FIFO admission semaphore of `max_active`
-//! slots. Each campaign journals under its own tenant directory using
+//! Campaigns run on per-tenant driver threads, gated by a FIFO admission
+//! semaphore of `max_active` slots. Plain tenants multiplex onto the one
+//! process-wide work pool (capacity = the max of the plain tenants'
+//! `jobs`, never the sum); corpus tenants run serially and add no pool
+//! capacity. Each campaign journals under its own tenant directory using
 //! the same library calls and defaults as the CLI, so its journal is
 //! byte-identical to a standalone `mopfuzzer` run at the same seed and
 //! worker counts. A drain (SIGTERM, or [`Server::drain`]) stops every

@@ -8,10 +8,11 @@
 //! the CLI relies on — the `jtelemetry` session workers attribute their
 //! metrics to, and the thread-local cancel flag
 //! ([`mopfuzzer::interrupt::set_local`]) — isolates tenants from each
-//! other for free. All tenants share the one process-wide work pool;
-//! each campaign asks it for `jobs` capacity exactly as a standalone run
-//! would, so pool capacity is the **max** of the tenants' worker counts,
-//! never the sum.
+//! other for free. Plain tenants share the one process-wide work pool;
+//! each asks it for `jobs` capacity exactly as a standalone run would, so
+//! pool capacity is the **max** of the plain tenants' worker counts,
+//! never the sum. Corpus tenants run serially on their driver threads and
+//! add no pool capacity.
 //!
 //! The scheduler itself is a counting semaphore: at most `max_active`
 //! campaigns run concurrently, the rest queue FIFO on their driver
@@ -47,11 +48,6 @@ pub const JOURNAL_FILE: &str = "journal.jsonl";
 /// Subdirectory of the data dir holding one directory per tenant.
 pub const CAMPAIGNS_DIR: &str = "campaigns";
 
-/// `--jobs` default, mirroring the CLI: every hardware thread.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
-
 /// One tenant's campaign parameters, resolved to the same defaults the
 /// CLI resolves (that resolution is what the journal-equivalence
 /// guarantee leans on). Serialized fully resolved into `spec.json`.
@@ -65,7 +61,8 @@ pub struct CampaignSpec {
     pub iterations: usize,
     /// Corpus store directory; `None` fuzzes the built-in corpus.
     pub corpus: Option<PathBuf>,
-    /// Round-level worker threads (default: all hardware threads).
+    /// Round-level worker threads, resolved by [`mopfuzzer::resolve_jobs`]
+    /// (plain default: all hardware threads; corpus campaigns: 1).
     pub jobs: usize,
     /// Wall-clock round timeout in milliseconds, if any.
     pub round_timeout_ms: Option<u64>,
@@ -83,6 +80,15 @@ impl CampaignSpec {
     /// Parses a submission body, rejecting unknown keys so a typo'd
     /// option fails loudly instead of silently running with defaults.
     pub fn from_json(text: &str) -> Result<CampaignSpec, String> {
+        Self::parse(text, false).map(|(spec, _)| spec)
+    }
+
+    /// [`CampaignSpec::from_json`], plus the `spec.json` files older
+    /// daemons persisted when `persisted` is set: those accepted
+    /// `jobs > 1` with a corpus, and such a tenant runs at jobs 1, which
+    /// journals the same bytes because `jobs` is not journaled. Returns
+    /// the lowered request alongside the spec.
+    fn parse(text: &str, persisted: bool) -> Result<(CampaignSpec, Option<usize>), String> {
         let json = parse_json(text)?;
         let Json::Obj(map) = &json else {
             return Err("campaign spec must be a JSON object".to_string());
@@ -113,19 +119,18 @@ impl CampaignSpec {
             Some(Json::Str(dir)) => Some(PathBuf::from(dir)),
             Some(_) => return Err("\"corpus\" must be a string".to_string()),
         };
-        let jobs = match field_u64(&json, "jobs")? {
-            Some(0) => return Err("\"jobs\" must be >= 1".to_string()),
-            Some(jobs) => jobs as usize,
-            None => default_jobs(),
-        };
-        Ok(CampaignSpec {
+        let requested = field_u64(&json, "jobs")?.map(|n| n as usize);
+        let lowered = requested.filter(|&n| persisted && corpus.is_some() && n > 1);
+        let jobs = lowered.map_or(requested, |_| Some(1));
+        let spec = CampaignSpec {
             rounds,
             rng_seed: field_u64(&json, "seed")?.unwrap_or(0),
             iterations: field_u64(&json, "iterations")?.unwrap_or(50) as usize,
+            jobs: mopfuzzer::resolve_jobs(jobs, corpus.is_some())?,
             corpus,
-            jobs,
             round_timeout_ms: field_u64(&json, "round_timeout_ms")?,
-        })
+        };
+        Ok((spec, lowered))
     }
 
     /// The resolved spec, in the same shape `from_json` accepts.
@@ -197,6 +202,8 @@ pub struct CampaignStatus {
     pub id: String,
     pub state: State,
     pub rounds: usize,
+    /// The worker count the campaign runs at.
+    pub jobs: usize,
     pub completed_rounds: usize,
     pub bugs: usize,
     pub executions: u64,
@@ -211,11 +218,13 @@ impl CampaignStatus {
             None => "null".to_string(),
         };
         format!(
-            "{{\"id\":\"{}\",\"state\":\"{}\",\"rounds\":{},\"completed_rounds\":{},\
-             \"bugs\":{},\"executions\":{},\"error\":{error},\"journal\":\"{}\"}}",
+            "{{\"id\":\"{}\",\"state\":\"{}\",\"rounds\":{},\"jobs\":{},\
+             \"completed_rounds\":{},\"bugs\":{},\"executions\":{},\"error\":{error},\
+             \"journal\":\"{}\"}}",
             esc(&self.id),
             self.state.as_str(),
             self.rounds,
+            self.jobs,
             self.completed_rounds,
             self.bugs,
             self.executions,
@@ -236,6 +245,7 @@ impl CampaignStatus {
             id: str_field("id")?,
             state,
             rounds: field_u64(&json, "rounds")?.unwrap_or(0) as usize,
+            jobs: field_u64(&json, "jobs")?.unwrap_or(0) as usize,
             completed_rounds: field_u64(&json, "completed_rounds")?.unwrap_or(0) as usize,
             bugs: field_u64(&json, "bugs")?.unwrap_or(0) as usize,
             executions: field_u64(&json, "executions")?.unwrap_or(0),
@@ -332,19 +342,20 @@ impl Registry {
         for dir in dirs {
             let spec_text = std::fs::read_to_string(dir.join(SPEC_FILE))
                 .map_err(|e| format!("read {}: {e}", dir.join(SPEC_FILE).display()))?;
-            let spec = CampaignSpec::from_json(&spec_text)
+            let (spec, lowered) = CampaignSpec::parse(&spec_text, true)
                 .map_err(|e| format!("{}: {e}", dir.join(SPEC_FILE).display()))?;
             let id = dir
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default();
-            let status = match std::fs::read_to_string(dir.join(STATUS_FILE)) {
+            let mut status = match std::fs::read_to_string(dir.join(STATUS_FILE)) {
                 Ok(text) => CampaignStatus::from_json(&text)
                     .map_err(|e| format!("{}: {e}", dir.join(STATUS_FILE).display()))?,
                 Err(_) => CampaignStatus {
                     id: id.clone(),
                     state: State::Queued,
                     rounds: spec.rounds,
+                    jobs: spec.jobs,
                     completed_rounds: 0,
                     bugs: 0,
                     executions: 0,
@@ -352,7 +363,16 @@ impl Registry {
                     journal: dir.join(JOURNAL_FILE),
                 },
             };
+            // Status files from older daemons carry no worker count; the
+            // spec is the authority.
+            status.jobs = spec.jobs;
             let incomplete = !status.state.terminal();
+            if let Some(requested) = lowered.filter(|_| incomplete && resume) {
+                eprintln!(
+                    "mopfuzzerd: campaign {id} asks for jobs {requested} over a corpus; \
+                     corpus campaigns run serially, so it runs at jobs 1"
+                );
+            }
             let tenant = Arc::new(Tenant {
                 id,
                 dir,
@@ -394,6 +414,7 @@ impl Registry {
                 id: id.clone(),
                 state: State::Queued,
                 rounds: spec.rounds,
+                jobs: spec.jobs,
                 completed_rounds: 0,
                 bugs: 0,
                 executions: 0,
@@ -658,8 +679,8 @@ fn run_tenant_campaign(tenant: &Tenant) -> Result<CampaignResult, String> {
     let mut sink = RoundSink { tenant };
     if journal.exists() {
         // Re-adopted after a drain or a daemon crash: continue the
-        // journal. The worker count is not journaled; any count keeps
-        // the resumed half byte-identical.
+        // journal. The worker count is not journaled; any count the
+        // journal's mode allows keeps the resumed half byte-identical.
         return resume_campaign_extended(&journal, None, Some(tenant.spec.jobs), Some(&mut sink));
     }
     let config = campaign_config(&tenant.spec);
@@ -692,8 +713,11 @@ mod tests {
         assert_eq!(spec.rng_seed, 0);
         assert_eq!(spec.iterations, 50);
         assert_eq!(spec.corpus, None);
-        assert_eq!(spec.jobs, default_jobs());
+        assert_eq!(spec.jobs, mopfuzzer::resolve_jobs(None, false).unwrap());
         assert_eq!(spec.round_timeout_ms, None);
+        // Corpus campaigns run serially.
+        let corpus = CampaignSpec::from_json("{\"rounds\": 3, \"corpus\": \"store\"}").unwrap();
+        assert_eq!(corpus.jobs, 1);
     }
 
     #[test]
@@ -703,10 +727,16 @@ mod tests {
             rng_seed: 7,
             iterations: 10,
             corpus: Some(PathBuf::from("/tmp/store")),
-            jobs: 2,
+            jobs: 1,
             round_timeout_ms: Some(500),
         };
         assert_eq!(CampaignSpec::from_json(&spec.to_json()).unwrap(), spec);
+        let plain = CampaignSpec {
+            corpus: None,
+            jobs: 2,
+            ..spec
+        };
+        assert_eq!(CampaignSpec::from_json(&plain.to_json()).unwrap(), plain);
     }
 
     #[test]
@@ -735,6 +765,7 @@ mod tests {
             id: "c0001".to_string(),
             state: State::Interrupted,
             rounds: 5,
+            jobs: 2,
             completed_rounds: 2,
             bugs: 1,
             executions: 321,

@@ -1,14 +1,15 @@
 //! The parallel campaign engine's contract: `--jobs N` is an execution
-//! detail, never an observable one. Campaigns at any worker count must
-//! produce byte-identical journals, store flushes, and results — with
-//! fault injection on, in plain and corpus mode, for arbitrary RNG
-//! seeds. Plus: store-lock recovery and the cross-campaign quarantine
-//! overlay that lets concurrent campaigns share discoveries.
+//! detail, never an observable one. Plain campaigns at any worker count
+//! must produce byte-identical journals and results — with fault
+//! injection on, for arbitrary RNG seeds. Corpus campaigns run serially
+//! and refuse `jobs > 1` before touching any file. Plus: store-lock
+//! recovery and the cross-campaign quarantine overlay that lets
+//! concurrent campaigns share discoveries.
 
 use jvmsim::FaultPlan;
 use mopfuzzer::{
-    corpus, import_seeds, read_journal, run_campaign_with_journal, run_corpus_campaign,
-    CampaignConfig, CorpusOptions,
+    corpus, import_seeds, read_journal, resume_campaign_extended, run_campaign_with_journal,
+    run_corpus_campaign, CampaignConfig, CorpusOptions,
 };
 use proptest::prelude::*;
 use std::fs;
@@ -95,44 +96,41 @@ fn parallel_plain_campaign_is_bit_identical() {
     fs::remove_dir_all(dir).ok();
 }
 
-/// Corpus mode: starting from byte-identical stores at the same path,
-/// serial and 4-worker campaigns leave byte-identical journals,
-/// manifests, and quarantine files behind.
+/// Corpus campaigns run serially: a campaign or a resume asking for two
+/// workers is refused with a reason that names `--jobs`, before the
+/// store or the journal is touched.
 #[test]
-fn parallel_corpus_campaign_is_bit_identical() {
+fn corpus_campaign_rejects_parallel_jobs() {
     let dir = temp_dir("corpus");
     let mut store = seeded_store(&dir);
     let pristine = snapshot_dir(&dir);
     let journal = dir.join("campaign.jsonl");
-    let opts = CorpusOptions {
-        promote_threshold: 1.0,
-        ..CorpusOptions::default()
-    };
+    let opts = CorpusOptions::default();
 
-    let serial = run_corpus_campaign(
+    let err = run_corpus_campaign(
         &mut store,
-        &faulty_config(6, 401, 1),
+        &faulty_config(3, 401, 2),
+        &opts,
+        Some(&journal),
+        None,
+    )
+    .unwrap_err();
+    assert!(err.contains("--jobs"), "{err}");
+    assert_eq!(snapshot_dir(&dir), pristine, "a refused campaign wrote");
+    assert!(!journal.exists(), "a refused campaign created its journal");
+
+    run_corpus_campaign(
+        &mut store,
+        &faulty_config(3, 401, 1),
         &opts,
         Some(&journal),
         None,
     )
     .unwrap();
-    let after_serial = snapshot_dir(&dir);
-
-    // Same path (the journal header records the store dir), same bytes.
-    restore_dir(&dir, &pristine);
-    let mut store = jcorpus::Store::open(&dir).unwrap();
-    let parallel = run_corpus_campaign(
-        &mut store,
-        &faulty_config(6, 401, 4),
-        &opts,
-        Some(&journal),
-        None,
-    )
-    .unwrap();
-
-    assert_eq!(serial, parallel);
-    assert_eq!(after_serial, snapshot_dir(&dir));
+    let before = snapshot_dir(&dir);
+    let err = resume_campaign_extended(&journal, None, Some(2), None).unwrap_err();
+    assert!(err.contains("--jobs"), "{err}");
+    assert_eq!(snapshot_dir(&dir), before, "a refused resume wrote");
 
     fs::remove_dir_all(dir).ok();
 }
@@ -183,7 +181,7 @@ fn external_quarantine_is_observed_by_a_live_campaign() {
     let pristine = snapshot_dir(&dir);
     let journal = dir.join("campaign.jsonl");
     let opts = CorpusOptions::default();
-    let config = faulty_config(4, 17, 4);
+    let config = faulty_config(4, 17, 1);
 
     // Dry run to learn which seed round 0 would schedule.
     run_corpus_campaign(&mut store, &config, &opts, Some(&journal), None).unwrap();

@@ -8,7 +8,7 @@
 //! promise with real sockets against an in-process [`mopfuzzerd::Server`],
 //! and pin the sharded corpus store's migration round-trip.
 
-use mopfuzzerd::{Config, Server, CAMPAIGNS_DIR, JOURNAL_FILE, MAX_CONNECTIONS};
+use mopfuzzerd::{Config, Server, CAMPAIGNS_DIR, JOURNAL_FILE, MAX_CONNECTIONS, SPEC_FILE};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
@@ -235,7 +235,10 @@ fn drain_and_resume_converges_to_the_uninterrupted_journal() {
 }
 
 /// Corpus campaigns work through the daemon too, over a store the
-/// campaign promotes into; the journal matches a serial corpus run.
+/// campaign promotes into; the journal matches a serial corpus run. A
+/// corpus submission asking for two workers is refused with a 400, and a
+/// queued tenant whose `spec.json` an older daemon wrote with a corpus
+/// and `jobs: 2` is re-adopted at jobs 1 with the same journal.
 #[test]
 fn corpus_tenant_journals_identically() {
     let dir = temp_dir("corpus");
@@ -248,30 +251,53 @@ fn corpus_tenant_journals_identically() {
     )
     .unwrap();
     store.save().unwrap();
-    // The reference store is a byte-copy made before any campaign runs.
+    // The reference and legacy stores are byte-copies made before any
+    // campaign runs.
     let ref_store_dir = dir.join("store_ref");
     copy_dir(&store_dir, &ref_store_dir);
+    let legacy_store_dir = dir.join("store_legacy");
+    copy_dir(&store_dir, &legacy_store_dir);
+    let legacy = dir.join("data").join(CAMPAIGNS_DIR).join("c0001");
+    std::fs::create_dir_all(&legacy).unwrap();
+    std::fs::write(
+        legacy.join(SPEC_FILE),
+        format!(
+            "{{\"rounds\":2,\"seed\":5,\"iterations\":6,\"corpus\":\"{}\",\
+             \"jobs\":2,\"round_timeout_ms\":null}}\n",
+            legacy_store_dir.display()
+        ),
+    )
+    .unwrap();
 
     let server = Server::start(Config {
         listen: "127.0.0.1:0".to_string(),
         data_dir: dir.join("data"),
         max_active: 1,
-        resume: false,
+        resume: true,
     })
     .unwrap();
     let addr = server.addr();
-    let (status, body) = request(
-        addr,
-        "POST",
-        "/campaigns",
-        &format!(
-            "{{\"rounds\": 2, \"seed\": 5, \"iterations\": 6, \"jobs\": 1, \
-             \"corpus\": \"{}\"}}",
-            store_dir.display()
-        ),
-    );
+    let submit = |jobs: usize| {
+        request(
+            addr,
+            "POST",
+            "/campaigns",
+            &format!(
+                "{{\"rounds\": 2, \"seed\": 5, \"iterations\": 6, \"jobs\": {jobs}, \
+                 \"corpus\": \"{}\"}}",
+                store_dir.display()
+            ),
+        )
+    };
+    let (status, body) = submit(2);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("--jobs"), "{body}");
+    let (status, body) = submit(1);
     assert_eq!(status, 201, "{body}");
-    poll_campaign(addr, "c0001", |b| b.contains("\"state\":\"done\""), "done");
+    assert!(body.contains("\"id\":\"c0002\""), "{body}");
+    let adopted = poll_campaign(addr, "c0001", |b| b.contains("\"state\":\"done\""), "done");
+    assert!(adopted.contains("\"jobs\":1"), "{adopted}");
+    poll_campaign(addr, "c0002", |b| b.contains("\"state\":\"done\""), "done");
     server.shutdown();
 
     let ref_journal = dir.join("ref.jsonl");
@@ -297,14 +323,19 @@ fn corpus_tenant_journals_identically() {
     // The journals agree except for the header's store path (an absolute
     // path baked into the corpus header), so compare line by line with
     // the paths normalized.
-    let got = std::fs::read_to_string(daemon_journal(&dir.join("data"), "c0001")).unwrap();
-    let want = std::fs::read_to_string(&ref_journal).unwrap();
     let norm = |text: &str, dir: &Path| text.replace(&dir.display().to_string(), "STORE");
-    assert_eq!(
-        norm(&got, &store_dir),
-        norm(&want, &ref_store_dir),
-        "corpus tenant journal diverged from the serial run"
+    let want = norm(
+        &std::fs::read_to_string(&ref_journal).unwrap(),
+        &ref_store_dir,
     );
+    for (id, store) in [("c0001", &legacy_store_dir), ("c0002", &store_dir)] {
+        let got = std::fs::read_to_string(daemon_journal(&dir.join("data"), id)).unwrap();
+        assert_eq!(
+            norm(&got, store),
+            want,
+            "corpus tenant {id} journal diverged from the serial run"
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
