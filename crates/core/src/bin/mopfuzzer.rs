@@ -160,7 +160,6 @@ fn print_usage() {
            mopfuzzer corpus stats DIR [--json]\n\
            mopfuzzer corpus gc DIR [--streak N]\n\
            mopfuzzer corpus fsck DIR [--repair] [--json]\n\
-           mopfuzzer corpus shard DIR --shards N\n\
            mopfuzzer serve --data-dir DIR [--listen ADDR] [--max-active N] [--resume]\n\
          \n\
          OPTIONS:\n\
@@ -243,15 +242,12 @@ fn print_usage() {
                                    floor for --streak N campaigns (default 3)\n\
            corpus fsck DIR         check the store for crash damage (torn\n\
                                    manifest/quarantine tails, orphaned or\n\
-                                   missing sources, stale .tmp files,\n\
+                                   missing sources, source-mismatch:\n\
+                                   sources that do not hash to their\n\
+                                   manifest record, stale .tmp files,\n\
                                    dangling tombstones); --repair fixes\n\
                                    what is repairable, --json emits the\n\
-                                   jcorpus-fsck v1 report; sharded stores\n\
-                                   are checked shard by shard\n\
-           corpus shard DIR        migrate a flat store in place to the\n\
-                                   sharded layout (entries spread over\n\
-                                   --shards N sub-stores by fingerprint;\n\
-                                   run with no campaigns active)\n\
+                                   jcorpus-fsck v1 report\n\
          \n\
          FLEET MODE (multi-tenant daemon):\n\
            serve ..                start the mopfuzzerd fleet daemon: POST\n\
@@ -866,27 +862,6 @@ fn run_corpus_command(args: &[String]) -> Result<(), String> {
                     None => println!("quarantined: {seed} (whole seed)"),
                 }
             }
-            Ok(())
-        }
-        Some("shard") => {
-            let dir = args
-                .get(1)
-                .filter(|a| !a.starts_with("--"))
-                .ok_or_else(|| "usage: mopfuzzer corpus shard DIR --shards N".to_string())?;
-            let mut shards = None;
-            let mut it = args[2..].iter();
-            while let Some(flag) = it.next() {
-                let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-                match flag.as_str() {
-                    "--shards" => {
-                        shards = Some(value.parse().map_err(|_| "bad --shards".to_string())?)
-                    }
-                    other => return Err(format!("unknown option {other}")),
-                }
-            }
-            let shards = shards.ok_or_else(|| "--shards N is required".to_string())?;
-            let migrated = jcorpus::shard_store(Path::new(dir), shards)?;
-            println!("sharded {dir} into {shards} shard(s) ({migrated} entr(ies) migrated)");
             Ok(())
         }
         Some("fsck") => {

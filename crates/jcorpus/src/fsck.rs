@@ -14,6 +14,10 @@
 //! * **missing/corrupt sources** — a live manifest entry whose
 //!   `entries/<id>.java` is unreadable or unparseable; repaired by
 //!   tombstoning the entry (name and fingerprint stay reserved);
+//! * **source mismatches** — a live v2 entry whose source parses but
+//!   hashes to something other than its manifest `source_hash` (another
+//!   program sits under its id); repaired by tombstoning, like a missing
+//!   source. v1 entries carry no hash and are not checked;
 //! * **dangling tombstones** — a tombstoned entry whose source file
 //!   still exists (crash between the manifest rename and the source
 //!   unlink); repaired by deleting the file;
@@ -24,21 +28,14 @@
 //! All checking runs under the store lock, so a live campaign's
 //! in-flight save is never misread as damage. The report is available
 //! machine-readable ([`FsckReport::to_json`]) for CI artifacts.
-//!
-//! Sharded stores (a `shards.json` marker plus `shards/NN/` sub-stores)
-//! get the same treatment per shard: each shard is a flat-format store
-//! and is checked under its own shard lock, with the quarantine and
-//! top-level tmp sweep running once under the top-level lock. Lock
-//! order is top-level first, then shards ascending — the same total
-//! order saves use, so fsck never deadlocks against a live flush.
 
 use crate::lock::{StoreLock, DEFAULT_LOCK_TIMEOUT};
 use crate::store::{
-    check_header, decode_line, decode_quarantine_line, esc, parse_shards_marker, Decoded, Store,
-    ENTRIES_DIR, MANIFEST, QUARANTINE, SHARDS_MARKER,
+    check_header, decode_line, decode_quarantine_line, esc, refuse_sharded, source_path, Decoded,
+    ENTRIES_DIR, MANIFEST, QUARANTINE,
 };
 use crate::vfs::{self, Vfs};
-use crate::{fingerprint_hex, Tombstone};
+use crate::{fingerprint_hex, source_hash, Tombstone};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -55,6 +52,9 @@ pub enum FsckIssueKind {
     CorruptQuarantine,
     /// Live entry whose `entries/<id>.java` is missing or unparseable.
     MissingSource,
+    /// Live entry whose source hashes to something other than its
+    /// manifest `source_hash`.
+    SourceMismatch,
     /// `entries/*.java` referenced by no manifest line.
     OrphanSource,
     /// Tombstoned entry whose source file still exists.
@@ -72,6 +72,7 @@ impl FsckIssueKind {
             FsckIssueKind::TornQuarantineTail => "torn-quarantine-tail",
             FsckIssueKind::CorruptQuarantine => "corrupt-quarantine",
             FsckIssueKind::MissingSource => "missing-source",
+            FsckIssueKind::SourceMismatch => "source-mismatch",
             FsckIssueKind::OrphanSource => "orphan-source",
             FsckIssueKind::DanglingTombstone => "dangling-tombstone",
             FsckIssueKind::StaleTmp => "stale-tmp",
@@ -183,39 +184,24 @@ impl FsckReport {
 
 /// Checks the store at `dir`, repairing what it finds when `repair` is
 /// set. Fails only when the store cannot be examined at all (no
-/// manifest, lock held past its timeout).
+/// manifest, lock held past its timeout, or the sharded layout, which
+/// is refused with its migration).
 pub fn fsck(dir: &Path, repair: bool) -> Result<FsckReport, String> {
     fsck_with(dir, repair, vfs::real())
 }
 
 /// [`fsck`] with all I/O routed through `fs`.
 pub fn fsck_with(dir: &Path, repair: bool, fs: Arc<dyn Vfs>) -> Result<FsckReport, String> {
+    refuse_sharded(fs.as_ref(), dir)?;
     let _lock = StoreLock::acquire_with_vfs(dir, DEFAULT_LOCK_TIMEOUT, fs.clone())?;
     let mut report = FsckReport {
         dir: dir.to_path_buf(),
         repair,
         issues: Vec::new(),
     };
-    let marker = dir.join(SHARDS_MARKER);
-    if fs.exists(&marker) {
-        let text = fs
-            .read_to_string(&marker)
-            .map_err(|e| format!("read {}: {e}", marker.display()))?;
-        let shards = parse_shards_marker(&text)?;
-        for shard in 0..shards {
-            let sdir = Store::shard_dir(dir, shard);
-            let _shard_lock = StoreLock::acquire_with_vfs(&sdir, DEFAULT_LOCK_TIMEOUT, fs.clone())?;
-            let manifest = check_manifest(fs.as_ref(), &sdir, repair, &mut report)?;
-            if let Some(manifest) = &manifest {
-                check_sources(fs.as_ref(), &sdir, manifest, repair, &mut report);
-            }
-            check_stale_tmp(fs.as_ref(), &sdir, repair, &mut report);
-        }
-    } else {
-        let manifest = check_manifest(fs.as_ref(), dir, repair, &mut report)?;
-        if let Some(manifest) = &manifest {
-            check_sources(fs.as_ref(), dir, manifest, repair, &mut report);
-        }
+    let manifest = check_manifest(fs.as_ref(), dir, repair, &mut report)?;
+    if let Some(manifest) = &manifest {
+        check_sources(fs.as_ref(), dir, manifest, repair, &mut report);
     }
     check_quarantine(fs.as_ref(), dir, repair, &mut report);
     check_stale_tmp(fs.as_ref(), dir, repair, &mut report);
@@ -343,22 +329,30 @@ fn check_sources(
                 scan.records.push((raw.clone(), Decoded::Tomb(t.clone())));
             }
             Decoded::Live(entry, has_hash) => {
-                let src = entries_dir.join(format!("{}.java", entry.id));
-                let healthy = match fs.read_to_string(&src) {
-                    Ok(text) => mjava::parse(&text).is_ok(),
-                    Err(_) => false,
+                let src = source_path(dir, &entry.id);
+                let program = fs
+                    .read_to_string(&src)
+                    .ok()
+                    .and_then(|text| mjava::parse(&text).ok());
+                let (kind, problem) = match program {
+                    None => (FsckIssueKind::MissingSource, "has no readable source"),
+                    // v1 records carry no hash to check against.
+                    Some(p) if *has_hash && source_hash(&p) != entry.source_hash => (
+                        FsckIssueKind::SourceMismatch,
+                        "holds a source that does not hash to its source_hash",
+                    ),
+                    Some(_) => {
+                        live_ids.push(entry.id.clone());
+                        scan.records
+                            .push((raw.clone(), Decoded::Live(entry.clone(), *has_hash)));
+                        continue;
+                    }
                 };
-                if healthy {
-                    live_ids.push(entry.id.clone());
-                    scan.records
-                        .push((raw.clone(), Decoded::Live(entry.clone(), *has_hash)));
-                    continue;
-                }
                 report.issues.push(FsckIssue {
-                    kind: FsckIssueKind::MissingSource,
+                    kind,
                     path: src.clone(),
                     detail: format!(
-                        "entry {} ({:?}) has no readable source; tombstoning",
+                        "entry {} ({:?}) {problem}; tombstoning",
                         entry.id, entry.name
                     ),
                     repaired: repair,
@@ -724,58 +718,32 @@ mod tests {
     }
 
     #[test]
-    fn sharded_store_is_checked_and_repaired_per_shard() {
-        let dir = temp_dir("sharded");
-        let mut store = Store::init_sharded(&dir, 3).unwrap();
-        for (i, seed) in mjava::samples::all_seeds().into_iter().take(3).enumerate() {
-            store.admit(
-                seed.name,
-                &seed.program,
-                i as u64 + 1, // fingerprints 1, 2, 3 → shards 1, 2, 0
-                Provenance::Builtin,
-                None,
-            );
-        }
-        store.merge_quarantine(&[("s".to_string(), None)]);
-        store.save().unwrap();
-        assert!(fsck(&dir, false).unwrap().clean());
-
-        // One kind of damage in each shard: a torn manifest tail in
-        // shard 1, an orphan source in shard 0, a stale tmp in shard 2.
-        let s1_manifest = Store::shard_dir(&dir, 1).join(MANIFEST);
-        let pristine = stdfs::read_to_string(&s1_manifest).unwrap();
-        let last = pristine.lines().last().unwrap();
-        stdfs::write(
-            &s1_manifest,
-            format!("{pristine}{}", &last[..last.len() / 2]),
-        )
-        .unwrap();
-        stdfs::write(
-            Store::shard_dir(&dir, 0)
-                .join(ENTRIES_DIR)
-                .join("c9999.java"),
-            "class Foo { }",
-        )
-        .unwrap();
-        stdfs::write(Store::shard_dir(&dir, 2).join("manifest.tmp"), "half").unwrap();
-
+    fn swapped_sources_are_source_mismatches_and_tombstoned() {
+        let dir = seeded_store("mismatch");
+        let entries = dir.join(ENTRIES_DIR);
+        let first = stdfs::read_to_string(entries.join("c0001.java")).unwrap();
+        let second = stdfs::read_to_string(entries.join("c0002.java")).unwrap();
+        stdfs::write(entries.join("c0001.java"), &second).unwrap();
+        stdfs::write(entries.join("c0002.java"), &first).unwrap();
+        // Open still succeeds: both sources parse.
+        assert_eq!(Store::open(&dir).unwrap().len(), 2);
         let report = fsck(&dir, false).unwrap();
         let kinds: Vec<FsckIssueKind> = report.issues.iter().map(|i| i.kind).collect();
-        assert!(
-            kinds.contains(&FsckIssueKind::TornManifestTail),
-            "{kinds:?}"
+        assert_eq!(
+            kinds,
+            [FsckIssueKind::SourceMismatch; 2],
+            "{:?}",
+            report.issues
         );
-        assert!(kinds.contains(&FsckIssueKind::OrphanSource), "{kinds:?}");
-        assert!(kinds.contains(&FsckIssueKind::StaleTmp), "{kinds:?}");
-        assert_eq!(report.issues.len(), 3, "{:?}", report.issues);
+        assert!(report.to_json().contains("\"kind\":\"source-mismatch\""));
 
         let report = fsck(&dir, true).unwrap();
-        assert_eq!(report.repaired(), 3, "{:?}", report.issues);
-        assert_eq!(stdfs::read_to_string(&s1_manifest).unwrap(), pristine);
+        assert_eq!(report.repaired(), 2, "{:?}", report.issues);
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.len(), 0);
+        assert_eq!(store.tombstones().len(), 2);
+        assert!(!entries.join("c0001.java").exists());
         assert!(fsck(&dir, false).unwrap().clean());
-        // The repaired store still opens with every entry intact.
-        let reopened = Store::open(&dir).unwrap();
-        assert_eq!(reopened.len(), 3);
         let _ = stdfs::remove_dir_all(&dir);
     }
 

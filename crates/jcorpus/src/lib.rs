@@ -33,8 +33,5 @@ pub use fingerprint::{
 pub use fsck::{fsck, fsck_with, FsckIssue, FsckIssueKind, FsckReport};
 pub use lock::{StoreLock, DEFAULT_LOCK_TIMEOUT, LOCKFILE};
 pub use schedule::{energy, PowerScheduler, ENERGY_FLOOR};
-pub use store::{
-    read_quarantine_dir, shard_store, shard_store_with, Admission, Entry, EntryStats, Provenance,
-    Store, Tombstone, MAX_SHARDS,
-};
+pub use store::{read_quarantine_dir, Admission, Entry, EntryStats, Provenance, Store, Tombstone};
 pub use vfs::{ChaosError, ChaosPlan, ChaosVfs, RealVfs, Vfs, CRASH_MARKER};

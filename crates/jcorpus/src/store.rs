@@ -23,45 +23,26 @@
 //! Saves take the store lock ([`crate::StoreLock`]) and first fold in
 //! whatever concurrent campaigns flushed since this store was opened:
 //! quarantine pairs are set-unioned, and entries/tombstones with unknown
-//! fingerprints are adopted (under fresh ids, so id assignment races
-//! cannot alias two different programs). Stats of entries shared with a
+//! fingerprints are adopted under the ids the committed manifest gives
+//! them. One of our own records whose id the committed manifest gives to
+//! a different record moves to a fresh id, so id assignment races cannot
+//! alias two different programs. Stats of entries shared with a
 //! concurrent campaign are last-writer-wins — acceptable because stats
 //! only steer scheduling heuristics.
+//!
+//! Entry sources are **write-once**: a save never writes a source under
+//! an id that the committed manifest already maps to a record, so a
+//! crash mid-save can leave at worst an orphan source under an
+//! uncommitted id (the next writer overwrites it, `corpus fsck` removes
+//! it). Only sources the committed manifest does not vouch for are
+//! written: new entries, and entries recorded by a v1 manifest, which
+//! carries no source hash (rewritten once, under the same program).
 //!
 //! Entries GC'd by [`Store::gc`] leave a manifest **tombstone** (id, name,
 //! fingerprint, no source file): resuming a journal recorded before the
 //! GC still resolves the entry's name (stats flushes become no-ops and
 //! re-promotions dedup against the tombstone instead of resurrecting the
 //! entry).
-//!
-//! # Sharded layout
-//!
-//! A store can alternatively be **sharded** for fleet operation, where
-//! many concurrent tenants would otherwise serialize on the single
-//! manifest lock and every flush rewrites every entry:
-//!
-//! ```text
-//! DIR/
-//!   shards.json        layout marker: {"type":"jcorpus-shards",
-//!                      "version":1,"shards":N}
-//!   shards/00/         one flat-format sub-store per shard:
-//!     manifest.jsonl   manifest of the entries whose fingerprint maps
-//!     entries/         here (shard = fingerprint mod N), own .lock
-//!   shards/01/ ...
-//!   quarantine.jsonl   stays top-level (cross-shard by nature), guarded
-//!   .lock              by the top-level lock
-//! ```
-//!
-//! Entry ids are unique *per shard* (they only key source files inside
-//! one shard directory); names remain the globally unique identity.
-//! Saves rewrite only **dirty** shards — the shards whose entries were
-//! admitted, re-statted, or GC'd since open — each under its own lock,
-//! in ascending shard order. A flush that touched one shard of a large
-//! store therefore costs one small manifest rewrite instead of the whole
-//! corpus, and two tenants flushing disjoint shards do not contend at
-//! all. Flat stores are untouched by any of this: layout is detected at
-//! open and the flat code path is byte-identical to what it always was.
-//! [`shard_store`] migrates a flat store in place.
 
 use crate::fingerprint::{fingerprint_hex, parse_fingerprint, source_hash};
 use crate::lock::{StoreLock, DEFAULT_LOCK_TIMEOUT};
@@ -69,7 +50,7 @@ use crate::schedule::energy;
 use crate::vfs::{self, Vfs};
 use jtelemetry::schema::{parse_json, Json};
 use mjava::Program;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, HashSet};
 #[cfg(test)]
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -179,21 +160,11 @@ pub struct Store {
     programs: Vec<Program>, // parallel to `entries`
     tombstones: Vec<Tombstone>,
     quarantine: Vec<(String, Option<String>)>,
-    /// `Some(n)` for the sharded layout (n shard sub-stores), `None` flat.
-    shards: Option<usize>,
-    /// Shards whose entries changed since open / the last save; the only
-    /// shards a sharded save rewrites.
-    dirty_shards: BTreeSet<usize>,
 }
 
 pub(crate) const MANIFEST: &str = "manifest.jsonl";
 pub(crate) const QUARANTINE: &str = "quarantine.jsonl";
 pub(crate) const ENTRIES_DIR: &str = "entries";
-pub(crate) const SHARDS_MARKER: &str = "shards.json";
-pub(crate) const SHARDS_DIR: &str = "shards";
-
-/// Highest supported shard count (two-digit shard directory names).
-pub const MAX_SHARDS: usize = 99;
 
 /// v2: per-entry `source_hash` (fingerprint memoization), `floor_streak`
 /// (GC bookkeeping), and tombstone lines. v1 manifests are still read
@@ -210,8 +181,8 @@ impl Store {
     /// [`Store::init`] with all I/O routed through `fs` (chaos injection
     /// in tests, real fsyncs in production).
     pub fn init_with(dir: &Path, fs: Arc<dyn Vfs>) -> Result<Store, String> {
-        let manifest = dir.join(MANIFEST);
-        if fs.exists(&manifest) || fs.exists(&dir.join(SHARDS_MARKER)) {
+        refuse_sharded(fs.as_ref(), dir)?;
+        if fs.exists(&dir.join(MANIFEST)) {
             return Err(format!("corpus store already exists at {}", dir.display()));
         }
         fs.create_dir_all(&dir.join(ENTRIES_DIR))
@@ -223,43 +194,6 @@ impl Store {
             programs: Vec::new(),
             tombstones: Vec::new(),
             quarantine: Vec::new(),
-            shards: None,
-            dirty_shards: BTreeSet::new(),
-        };
-        store.save()?;
-        Ok(store)
-    }
-
-    /// Creates an empty **sharded** store at `dir` with `shards` shard
-    /// sub-stores. Fails if any store (flat or sharded) already exists.
-    pub fn init_sharded(dir: &Path, shards: usize) -> Result<Store, String> {
-        Store::init_sharded_with(dir, shards, vfs::real())
-    }
-
-    /// [`Store::init_sharded`] with all I/O routed through `fs`.
-    pub fn init_sharded_with(dir: &Path, shards: usize, fs: Arc<dyn Vfs>) -> Result<Store, String> {
-        check_shard_count(shards)?;
-        if fs.exists(&dir.join(MANIFEST)) || fs.exists(&dir.join(SHARDS_MARKER)) {
-            return Err(format!("corpus store already exists at {}", dir.display()));
-        }
-        fs.create_dir_all(dir)
-            .map_err(|e| format!("create {}: {e}", dir.display()))?;
-        vfs::write_atomic(
-            fs.as_ref(),
-            &dir.join(SHARDS_MARKER),
-            &shards_marker(shards),
-        )?;
-        let mut store = Store {
-            dir: dir.to_path_buf(),
-            fs,
-            entries: Vec::new(),
-            programs: Vec::new(),
-            tombstones: Vec::new(),
-            quarantine: Vec::new(),
-            shards: Some(shards),
-            // Every shard starts dirty so the first save materializes
-            // every shard manifest; open requires them all.
-            dirty_shards: (0..shards).collect(),
         };
         store.save()?;
         Ok(store)
@@ -279,74 +213,54 @@ impl Store {
 
     /// [`Store::open`] with all I/O routed through `fs`.
     pub fn open_with(dir: &Path, fs: Arc<dyn Vfs>) -> Result<Store, String> {
-        if fs.exists(&dir.join(SHARDS_MARKER)) {
-            return Store::open_sharded(dir, fs);
-        }
+        refuse_sharded(fs.as_ref(), dir)?;
         // Sweep stale tmp files only with the store lock held: a live
         // writer's tmp siblings are about to be renamed, not stale. A
         // held lock skips the sweep (zero-wait probe), never the open.
         if let Ok(_lock) = StoreLock::acquire_with_vfs(dir, Duration::ZERO, fs.clone()) {
             sweep_stale_tmp(fs.as_ref(), dir);
         }
-        let (entries, programs, tombstones) = read_store_dir(fs.as_ref(), dir)?;
-        let quarantine = read_quarantine(fs.as_ref(), &dir.join(QUARANTINE))?;
-        Ok(Store {
-            dir: dir.to_path_buf(),
-            fs,
-            entries,
-            programs,
-            tombstones,
-            quarantine,
-            shards: None,
-            dirty_shards: BTreeSet::new(),
-        })
-    }
-
-    /// Loads a sharded store: each shard sub-store is read like a flat
-    /// store (own lock probe, own tmp sweep, own torn-tail tolerance),
-    /// in ascending shard order. Names that collide across shards — the
-    /// footprint of two tenants admitting the same hint into different
-    /// shards concurrently — are uniquified deterministically and the
-    /// renamed shard marked dirty so the next save persists the repair.
-    fn open_sharded(dir: &Path, fs: Arc<dyn Vfs>) -> Result<Store, String> {
-        let marker_path = dir.join(SHARDS_MARKER);
+        let manifest_path = dir.join(MANIFEST);
         let text = fs
-            .read_to_string(&marker_path)
-            .map_err(|e| format!("read {}: {e}", marker_path.display()))?;
-        let shards =
-            parse_shards_marker(&text).map_err(|e| format!("{}: {e}", marker_path.display()))?;
-        if let Ok(_lock) = StoreLock::acquire_with_vfs(dir, Duration::ZERO, fs.clone()) {
-            sweep_stale_tmp(fs.as_ref(), dir);
+            .read_to_string(&manifest_path)
+            .map_err(|e| format!("read {}: {e}", manifest_path.display()))?;
+        let mut lines: Vec<(usize, &str)> = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty())
+            .collect();
+        if lines.is_empty() {
+            return Err(format!("{}: empty manifest", manifest_path.display()));
         }
+        let (_, header) = lines.remove(0);
+        check_header(header).map_err(|e| format!("{}: {e}", manifest_path.display()))?;
         let mut entries = Vec::new();
         let mut programs = Vec::new();
         let mut tombstones = Vec::new();
-        let mut dirty_shards = BTreeSet::new();
-        for shard in 0..shards {
-            let sdir = Store::shard_dir(dir, shard);
-            if let Ok(_lock) = StoreLock::acquire_with_vfs(&sdir, Duration::ZERO, fs.clone()) {
-                sweep_stale_tmp(fs.as_ref(), &sdir);
-            }
-            let (mut se, mut sp, mut st) = read_store_dir(fs.as_ref(), &sdir)?;
-            let taken = |name: &str, entries: &[Entry], tombstones: &[Tombstone]| {
-                entries.iter().any(|e| e.name == name)
-                    || tombstones.iter().any(|t: &Tombstone| t.name == name)
+        for (pos, (i, line)) in lines.iter().enumerate() {
+            let decoded = match decode_line(line) {
+                Ok(d) => d,
+                // A torn tail (crash mid-write of the last record) is
+                // recoverable: the record is dropped.
+                Err(_) if pos + 1 == lines.len() => break,
+                Err(e) => return Err(format!("{} line {}: {e}", manifest_path.display(), i + 1)),
             };
-            for e in &mut se {
-                if taken(&e.name, &entries, &tombstones) {
-                    let mut suffix = 2;
-                    let mut name = format!("{}_{suffix}", e.name);
-                    while taken(&name, &entries, &tombstones) {
-                        suffix += 1;
-                        name = format!("{}_{suffix}", e.name);
+            match decoded {
+                Decoded::Tomb(t) => tombstones.push(t),
+                Decoded::Live(mut entry, has_hash) => {
+                    let src_path = source_path(dir, &entry.id);
+                    let src = fs
+                        .read_to_string(&src_path)
+                        .map_err(|e| format!("read {}: {e}", src_path.display()))?;
+                    let program = mjava::parse(&src)
+                        .map_err(|e| format!("parse {}: {e:?}", src_path.display()))?;
+                    if !has_hash {
+                        entry.source_hash = source_hash(&program);
                     }
-                    e.name = name;
-                    dirty_shards.insert(shard);
+                    entries.push(entry);
+                    programs.push(program);
                 }
             }
-            entries.append(&mut se);
-            programs.append(&mut sp);
-            tombstones.append(&mut st);
         }
         let quarantine = read_quarantine(fs.as_ref(), &dir.join(QUARANTINE))?;
         Ok(Store {
@@ -356,31 +270,7 @@ impl Store {
             programs,
             tombstones,
             quarantine,
-            shards: Some(shards),
-            dirty_shards,
         })
-    }
-
-    /// Shard count of a sharded store; `None` for the flat layout.
-    pub fn shards(&self) -> Option<usize> {
-        self.shards
-    }
-
-    /// The sub-directory holding one shard of a sharded store.
-    pub(crate) fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
-        dir.join(SHARDS_DIR).join(format!("{shard:02}"))
-    }
-
-    /// The shard a fingerprint maps to, or `None` for flat stores.
-    fn shard_of(&self, fingerprint: u64) -> Option<usize> {
-        self.shards.map(|n| (fingerprint % n as u64) as usize)
-    }
-
-    /// Marks the owning shard of `fingerprint` dirty (no-op when flat).
-    fn mark_dirty(&mut self, fingerprint: u64) {
-        if let Some(shard) = self.shard_of(fingerprint) {
-            self.dirty_shards.insert(shard);
-        }
     }
 
     /// The store directory.
@@ -454,11 +344,7 @@ impl Store {
             return Admission::Duplicate(tomb.name.clone());
         }
         let name = self.unique_name(name_hint);
-        let id = match self.shard_of(fingerprint) {
-            Some(shard) => format!("c{:04}", self.next_id_in(shard)),
-            None => format!("c{:04}", self.next_id()),
-        };
-        self.mark_dirty(fingerprint);
+        let id = format!("c{:04}", self.next_id());
         self.entries.push(Entry {
             id,
             name: name.clone(),
@@ -495,8 +381,6 @@ impl Store {
         match self.entries.iter_mut().find(|e| e.name == name) {
             Some(entry) => {
                 entry.stats = stats;
-                let fingerprint = entry.fingerprint;
-                self.mark_dirty(fingerprint);
                 Ok(())
             }
             None if self.tombstones.iter().any(|t| t.name == name) => Ok(()),
@@ -510,8 +394,6 @@ impl Store {
         match self.entries.iter_mut().find(|e| e.name == name) {
             Some(entry) => {
                 entry.floor_streak = streak;
-                let fingerprint = entry.fingerprint;
-                self.mark_dirty(fingerprint);
                 Ok(())
             }
             None if self.tombstones.iter().any(|t| t.name == name) => Ok(()),
@@ -532,7 +414,6 @@ impl Store {
             if e.stats.schedules > 0 && e.floor_streak >= streak {
                 let entry = self.entries.remove(i);
                 self.programs.remove(i);
-                self.mark_dirty(entry.fingerprint);
                 // The source file is deleted by the next save(), after the
                 // manifest rename — a crash before then leaves the store
                 // fully consistent under the old manifest.
@@ -573,11 +454,6 @@ impl Store {
             "{{\"type\":\"jcorpus-stats\",\"version\":1,\"dir\":\"{}\",",
             esc(&self.dir.display().to_string())
         ));
-        // Layout rides along for sharded stores only: flat stats output
-        // is byte-identical to what it was before sharding existed.
-        if let Some(shards) = self.shards {
-            out.push_str(&format!("\"shards\":{shards},"));
-        }
         out.push_str("\"entries\":[");
         for (i, e) in self.entries.iter().enumerate() {
             if i > 0 {
@@ -634,29 +510,28 @@ impl Store {
         out
     }
 
-    /// Atomically rewrites the manifest, quarantine, and entry sources,
-    /// under the store lock. State flushed by concurrent campaigns since
-    /// this store was opened is folded in first (see module docs), so two
-    /// campaigns finishing over one store lose neither quarantine pairs
-    /// nor promoted entries.
+    /// Atomically rewrites the manifest and quarantine under the store
+    /// lock, writing only the entry sources the committed manifest does
+    /// not already vouch for (see module docs). State flushed by
+    /// concurrent campaigns since this store was opened is folded in
+    /// first, so two campaigns finishing over one store lose neither
+    /// quarantine pairs nor promoted entries.
     pub fn save(&mut self) -> Result<(), String> {
-        if let Some(shards) = self.shards {
-            return self.save_sharded(shards);
-        }
         self.fs
             .create_dir_all(&self.dir.join(ENTRIES_DIR))
             .map_err(|e| format!("create {}: {e}", self.dir.display()))?;
         let _lock = StoreLock::acquire_with_vfs(&self.dir, DEFAULT_LOCK_TIMEOUT, self.fs.clone())?;
-        self.merge_disk_state();
+        let committed = self.merge_disk_state();
         for (entry, program) in self.entries.iter().zip(&self.programs) {
-            // Unconditional rewrite: a crash between a source write and the
-            // manifest rename could otherwise leave a stale file under a
-            // reused id.
-            let path = self
-                .dir
-                .join(ENTRIES_DIR)
-                .join(format!("{}.java", entry.id));
-            vfs::write_atomic(self.fs.as_ref(), &path, &mjava::print(program))?;
+            let recorded = matches!(
+                committed.get(&entry.id),
+                Some(Decoded::Live(c, true))
+                    if c.fingerprint == entry.fingerprint && c.source_hash == entry.source_hash
+            );
+            if !recorded {
+                let path = source_path(&self.dir, &entry.id);
+                vfs::write_atomic(self.fs.as_ref(), &path, &mjava::print(program))?;
+            }
         }
         let mut manifest = String::new();
         manifest.push_str(&format!(
@@ -670,11 +545,21 @@ impl Store {
             manifest.push_str(&encode_tombstone(tomb));
         }
         vfs::write_atomic(self.fs.as_ref(), &self.dir.join(MANIFEST), &manifest)?;
-        if !self.tombstones.is_empty() {
-            for tomb in &self.tombstones {
-                let src = self.dir.join(ENTRIES_DIR).join(format!("{}.java", tomb.id));
-                let _ = self.fs.remove_file(&src);
+        // Sources the committed manifest held live and the new one
+        // replaced (GC'd entries, displaced duplicates) are unlinked only
+        // after the manifest rename: a crash before then leaves the store
+        // fully consistent under the old manifest.
+        let live: HashSet<&str> = self.entries.iter().map(|e| e.id.as_str()).collect();
+        let known: HashSet<u64> = self.fingerprints().collect();
+        let mut removed = false;
+        for (id, record) in &committed {
+            if let Decoded::Live(c, _) = record {
+                if !live.contains(id.as_str()) && known.contains(&c.fingerprint) {
+                    removed |= self.fs.remove_file(&source_path(&self.dir, id)).is_ok();
+                }
             }
+        }
+        if removed {
             // Make the unlinks durable; failures leave orphaned sources
             // that `corpus fsck` reports (the manifest is already safe).
             let _ = self.fs.fsync_dir(&self.dir.join(ENTRIES_DIR));
@@ -694,410 +579,141 @@ impl Store {
         Ok(())
     }
 
-    /// The sharded flush: only **dirty** shards are rewritten, each under
-    /// its own lock in ascending shard order (a total order, so two
-    /// tenants flushing overlapping shard sets cannot deadlock), with
-    /// the same per-shard crash discipline as a flat save (sources
-    /// first, then the atomic manifest rename, then tombstone unlinks).
-    /// Disk state concurrent tenants flushed into a dirty shard is
-    /// adopted before the rewrite; clean shards are not even read. The
-    /// cross-shard quarantine is merged and rewritten last, under the
-    /// top-level lock.
-    fn save_sharded(&mut self, shards: usize) -> Result<(), String> {
-        let dirty: Vec<usize> = self.dirty_shards.iter().copied().collect();
-        for shard in dirty {
-            let sdir = Store::shard_dir(&self.dir, shard);
-            self.fs
-                .create_dir_all(&sdir.join(ENTRIES_DIR))
-                .map_err(|e| format!("create {}: {e}", sdir.display()))?;
-            let _lock = StoreLock::acquire_with_vfs(&sdir, DEFAULT_LOCK_TIMEOUT, self.fs.clone())?;
-            self.merge_disk_shard(shard, &sdir);
-            let in_shard = |f: u64| (f % shards as u64) as usize == shard;
-            for (entry, program) in self
-                .entries
-                .iter()
-                .zip(&self.programs)
-                .filter(|(e, _)| in_shard(e.fingerprint))
-            {
-                let path = sdir.join(ENTRIES_DIR).join(format!("{}.java", entry.id));
-                vfs::write_atomic(self.fs.as_ref(), &path, &mjava::print(program))?;
-            }
-            let mut manifest = String::new();
-            manifest.push_str(&format!(
-                "{{\"type\":\"jcorpus\",\"version\":{STORE_VERSION}}}\n"
-            ));
-            for entry in self.entries.iter().filter(|e| in_shard(e.fingerprint)) {
-                manifest.push_str(&encode_entry(entry));
-                manifest.push('\n');
-            }
-            let shard_tombs: Vec<&Tombstone> = self
-                .tombstones
-                .iter()
-                .filter(|t| in_shard(t.fingerprint))
-                .collect();
-            for tomb in &shard_tombs {
-                manifest.push_str(&encode_tombstone(tomb));
-            }
-            vfs::write_atomic(self.fs.as_ref(), &sdir.join(MANIFEST), &manifest)?;
-            if !shard_tombs.is_empty() {
-                for tomb in &shard_tombs {
-                    let src = sdir.join(ENTRIES_DIR).join(format!("{}.java", tomb.id));
-                    let _ = self.fs.remove_file(&src);
-                }
-                let _ = self.fs.fsync_dir(&sdir.join(ENTRIES_DIR));
-            }
-        }
-        self.fs
-            .create_dir_all(&self.dir)
-            .map_err(|e| format!("create {}: {e}", self.dir.display()))?;
-        let _lock = StoreLock::acquire_with_vfs(&self.dir, DEFAULT_LOCK_TIMEOUT, self.fs.clone())?;
+    /// Folds in state concurrent campaigns flushed since we opened and
+    /// returns the committed manifest it read, keyed by id. Quarantine
+    /// pairs are unioned; records whose fingerprints we do not know are
+    /// adopted under their committed ids. Then each of our records
+    /// settles its id: it takes the id of the committed record of its
+    /// fingerprint when that record agrees with it ([`Decoded::agrees`]),
+    /// and moves to a fresh id above every id in sight when the committed
+    /// manifest gives its id to another record. Best-effort: unreadable
+    /// lines are skipped, never fatal, because our own atomic rewrite is
+    /// the recovery path for torn state.
+    fn merge_disk_state(&mut self) -> BTreeMap<String, Decoded> {
         if let Ok(disk) = read_quarantine(self.fs.as_ref(), &self.dir.join(QUARANTINE)) {
             self.merge_quarantine(&disk);
         }
-        let mut quarantine = String::new();
-        for (seed, mutator) in &self.quarantine {
-            let mutator = match mutator {
-                Some(m) => format!("\"{}\"", esc(m)),
-                None => "null".to_string(),
-            };
-            quarantine.push_str(&format!(
-                "{{\"seed\":\"{}\",\"mutator\":{mutator}}}\n",
-                esc(seed)
-            ));
-        }
-        vfs::write_atomic(self.fs.as_ref(), &self.dir.join(QUARANTINE), &quarantine)?;
-        self.dirty_shards.clear();
-        Ok(())
-    }
-
-    /// Per-shard twin of [`Store::merge_disk_state`]: adopts entries and
-    /// tombstones a concurrent tenant flushed into `shard` since we
-    /// opened (unknown fingerprints only, re-keyed under fresh per-shard
-    /// ids and globally uniquified names). Best-effort like the flat
-    /// merge. Caller holds the shard lock.
-    fn merge_disk_shard(&mut self, shard: usize, sdir: &Path) {
-        let Ok(text) = self.fs.read_to_string(&sdir.join(MANIFEST)) else {
-            return;
-        };
-        let mut lines = text.lines();
-        let Some(header) = lines.next() else {
-            return;
-        };
-        if check_header(header).is_err() {
-            return;
-        }
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Ok(decoded) = decode_line(line) else {
-                continue;
-            };
-            match decoded {
-                Decoded::Tomb(t) => {
-                    if self.fingerprint_known(t.fingerprint) {
-                        continue;
-                    }
-                    let id = format!("c{:04}", self.next_id_in(shard));
-                    let name = self.unique_name(&t.name);
-                    self.tombstones.push(Tombstone {
-                        id,
-                        name,
-                        fingerprint: t.fingerprint,
-                    });
-                }
-                Decoded::Live(entry, _) => {
-                    if self.fingerprint_known(entry.fingerprint) {
-                        continue;
-                    }
-                    let src = sdir.join(ENTRIES_DIR).join(format!("{}.java", entry.id));
-                    let Ok(text) = self.fs.read_to_string(&src) else {
-                        continue;
-                    };
-                    let Ok(program) = mjava::parse(&text) else {
-                        continue;
-                    };
-                    let id = format!("c{:04}", self.next_id_in(shard));
-                    let name = self.unique_name(&entry.name);
-                    self.entries.push(Entry {
-                        id,
-                        name,
-                        fingerprint: entry.fingerprint,
-                        source_hash: source_hash(&program),
-                        provenance: entry.provenance,
-                        parent: entry.parent,
-                        stats: entry.stats,
-                        floor_streak: entry.floor_streak,
-                    });
-                    self.programs.push(program);
-                }
-            }
-        }
-    }
-
-    /// Folds in state concurrent campaigns flushed since we opened:
-    /// quarantine pairs are unioned; disk entries/tombstones whose
-    /// fingerprints we do not know are adopted under fresh ids (ids are
-    /// assigned per-open, so two campaigns racing can mint the same id
-    /// for different programs — re-keying on adoption keeps both).
-    /// Best-effort: unreadable lines are skipped, never fatal, because
-    /// our own atomic rewrite is the recovery path for torn state.
-    fn merge_disk_state(&mut self) {
-        if let Ok(disk) = read_quarantine(self.fs.as_ref(), &self.dir.join(QUARANTINE)) {
-            self.merge_quarantine(&disk);
-        }
+        let mut committed = BTreeMap::new();
         let Ok(text) = self.fs.read_to_string(&self.dir.join(MANIFEST)) else {
-            return;
+            return committed;
         };
         let mut lines = text.lines();
-        let Some(header) = lines.next() else {
-            return;
-        };
-        if check_header(header).is_err() {
-            return;
+        if lines
+            .next()
+            .is_none_or(|header| check_header(header).is_err())
+        {
+            return committed;
         }
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
+        let mut known: HashSet<u64> = self.fingerprints().collect();
+        for record in lines.filter_map(|line| decode_line(line).ok()) {
+            if known.insert(record.fingerprint()) {
+                self.adopt(&record);
             }
-            let Ok(decoded) = decode_line(line) else {
-                continue;
-            };
-            match decoded {
-                Decoded::Tomb(t) => {
-                    if self.fingerprint_known(t.fingerprint) {
-                        continue;
-                    }
-                    let id = format!("c{:04}", self.next_id());
-                    let name = self.unique_name(&t.name);
-                    self.tombstones.push(Tombstone {
-                        id,
-                        name,
-                        fingerprint: t.fingerprint,
-                    });
-                }
-                Decoded::Live(entry, _) => {
-                    if self.fingerprint_known(entry.fingerprint) {
-                        continue;
-                    }
-                    let src = self
-                        .dir
-                        .join(ENTRIES_DIR)
-                        .join(format!("{}.java", entry.id));
-                    let Ok(text) = self.fs.read_to_string(&src) else {
-                        continue;
-                    };
-                    let Ok(program) = mjava::parse(&text) else {
-                        continue;
-                    };
-                    let id = format!("c{:04}", self.next_id());
-                    let name = self.unique_name(&entry.name);
-                    self.entries.push(Entry {
-                        id,
-                        name,
-                        fingerprint: entry.fingerprint,
-                        source_hash: source_hash(&program),
-                        provenance: entry.provenance,
-                        parent: entry.parent,
-                        stats: entry.stats,
-                        floor_streak: entry.floor_streak,
-                    });
-                    self.programs.push(program);
-                }
-            }
+            committed.insert(record.id().to_string(), record);
         }
-    }
-
-    fn fingerprint_known(&self, fingerprint: u64) -> bool {
-        self.entries.iter().any(|e| e.fingerprint == fingerprint)
-            || self.tombstones.iter().any(|t| t.fingerprint == fingerprint)
-    }
-
-    fn next_id(&self) -> u64 {
-        self.entries
+        let by_fingerprint: BTreeMap<u64, &str> = committed
             .iter()
-            .map(|e| e.id.as_str())
-            .chain(self.tombstones.iter().map(|t| t.id.as_str()))
-            .filter_map(|id| id.strip_prefix('c').and_then(|n| n.parse::<u64>().ok()))
+            .map(|(id, record)| (record.fingerprint(), id.as_str()))
+            .collect();
+        let mut next = committed
+            .keys()
+            .map(String::as_str)
+            .chain(self.ids())
+            .filter_map(id_number)
             .max()
-            .map_or(1, |n| n + 1)
-    }
-
-    /// [`Store::next_id`] scoped to one shard: ids only key source files
-    /// inside their shard directory, so each shard numbers its own.
-    fn next_id_in(&self, shard: usize) -> u64 {
-        let shards = self.shards.expect("sharded store") as u64;
-        self.entries
-            .iter()
-            .filter(|e| e.fingerprint % shards == shard as u64)
-            .map(|e| e.id.as_str())
-            .chain(
-                self.tombstones
-                    .iter()
-                    .filter(|t| t.fingerprint % shards == shard as u64)
-                    .map(|t| t.id.as_str()),
-            )
-            .filter_map(|id| id.strip_prefix('c').and_then(|n| n.parse::<u64>().ok()))
-            .max()
-            .map_or(1, |n| n + 1)
-    }
-}
-
-/// Reads one flat-format store directory (the whole store, or one shard
-/// of a sharded store): manifest header check, entry/tombstone decode
-/// with torn-tail tolerance, and entry sources from `entries/`.
-#[allow(clippy::type_complexity)]
-fn read_store_dir(
-    fs: &dyn Vfs,
-    dir: &Path,
-) -> Result<(Vec<Entry>, Vec<Program>, Vec<Tombstone>), String> {
-    let manifest_path = dir.join(MANIFEST);
-    let text = fs
-        .read_to_string(&manifest_path)
-        .map_err(|e| format!("read {}: {e}", manifest_path.display()))?;
-    let mut lines: Vec<(usize, &str)> = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .collect();
-    if lines.is_empty() {
-        return Err(format!("{}: empty manifest", manifest_path.display()));
-    }
-    let (_, header) = lines.remove(0);
-    check_header(header).map_err(|e| format!("{}: {e}", manifest_path.display()))?;
-    let mut entries = Vec::new();
-    let mut programs = Vec::new();
-    let mut tombstones = Vec::new();
-    for (pos, (i, line)) in lines.iter().enumerate() {
-        let decoded = match decode_line(line) {
-            Ok(d) => d,
-            // A torn tail (crash mid-write of the last record) is
-            // recoverable: the record is dropped.
-            Err(_) if pos + 1 == lines.len() => break,
-            Err(e) => return Err(format!("{} line {}: {e}", manifest_path.display(), i + 1)),
+            .map_or(1, |n| n + 1);
+        let mut settle = |id: &mut String, fingerprint: u64, source_hash: Option<u64>| {
+            let agreeing = by_fingerprint
+                .get(&fingerprint)
+                .filter(|at| committed[**at].agrees(source_hash));
+            if let Some(at) = agreeing {
+                *id = at.to_string();
+            } else if committed.contains_key(id.as_str()) {
+                *id = format!("c{next:04}");
+                next += 1;
+            }
         };
-        match decoded {
-            Decoded::Tomb(t) => tombstones.push(t),
-            Decoded::Live(mut entry, has_hash) => {
-                let src_path = dir.join(ENTRIES_DIR).join(format!("{}.java", entry.id));
-                let src = fs
-                    .read_to_string(&src_path)
-                    .map_err(|e| format!("read {}: {e}", src_path.display()))?;
-                let program = mjava::parse(&src)
-                    .map_err(|e| format!("parse {}: {e:?}", src_path.display()))?;
+        for entry in &mut self.entries {
+            settle(&mut entry.id, entry.fingerprint, Some(entry.source_hash));
+        }
+        for tomb in &mut self.tombstones {
+            settle(&mut tomb.id, tomb.fingerprint, None);
+        }
+        committed
+    }
+
+    /// Adopts one committed record a concurrent campaign flushed, under
+    /// its committed id (so its source is already on disk) and a
+    /// uniquified name. A live entry whose source is unreadable is
+    /// skipped. v1 records get their source hash recomputed, as on open.
+    fn adopt(&mut self, record: &Decoded) {
+        match record {
+            Decoded::Tomb(t) => {
+                let name = self.unique_name(&t.name);
+                self.tombstones.push(Tombstone { name, ..t.clone() });
+            }
+            Decoded::Live(entry, has_hash) => {
+                let src = source_path(&self.dir, &entry.id);
+                let Some(program) = self
+                    .fs
+                    .read_to_string(&src)
+                    .ok()
+                    .and_then(|text| mjava::parse(&text).ok())
+                else {
+                    return;
+                };
+                let mut entry = entry.clone();
+                entry.name = self.unique_name(&entry.name);
                 if !has_hash {
                     entry.source_hash = source_hash(&program);
                 }
-                entries.push(entry);
-                programs.push(program);
+                self.entries.push(entry);
+                self.programs.push(program);
             }
         }
     }
-    Ok((entries, programs, tombstones))
-}
 
-pub(crate) fn shards_marker(shards: usize) -> String {
-    format!("{{\"type\":\"jcorpus-shards\",\"version\":1,\"shards\":{shards}}}\n")
-}
+    /// Fingerprints of every live entry and tombstone.
+    fn fingerprints(&self) -> impl Iterator<Item = u64> + '_ {
+        let tombs = self.tombstones.iter().map(|t| t.fingerprint);
+        self.entries.iter().map(|e| e.fingerprint).chain(tombs)
+    }
 
-pub(crate) fn parse_shards_marker(text: &str) -> Result<usize, String> {
-    let json = parse_json(text.lines().next().unwrap_or(""))?;
-    match json.get("type") {
-        Some(Json::Str(t)) if t == "jcorpus-shards" => {}
-        _ => return Err("not a jcorpus shards marker".to_string()),
+    /// Ids of every live entry and tombstone.
+    fn ids(&self) -> impl Iterator<Item = &str> {
+        let tombs = self.tombstones.iter().map(|t| t.id.as_str());
+        self.entries.iter().map(|e| e.id.as_str()).chain(tombs)
     }
-    match json.get("version") {
-        Some(Json::Num(v)) if *v == 1.0 => {}
-        Some(Json::Num(v)) => return Err(format!("unsupported shards version {v}")),
-        _ => return Err("missing shards version".to_string()),
-    }
-    match json.get("shards") {
-        Some(Json::Num(n)) if n.fract() == 0.0 && (1.0..=MAX_SHARDS as f64).contains(n) => {
-            Ok(*n as usize)
-        }
-        _ => Err(format!("shard count must be 1..={MAX_SHARDS}")),
+
+    fn next_id(&self) -> u64 {
+        self.ids().filter_map(id_number).max().map_or(1, |n| n + 1)
     }
 }
 
-fn check_shard_count(shards: usize) -> Result<(), String> {
-    if (1..=MAX_SHARDS).contains(&shards) {
-        Ok(())
-    } else {
-        Err(format!(
-            "shard count must be 1..={MAX_SHARDS}, got {shards}"
-        ))
-    }
+/// The numeric part of an entry id (`c0042` → 42).
+fn id_number(id: &str) -> Option<u64> {
+    id.strip_prefix('c').and_then(|n| n.parse().ok())
 }
 
-/// Converts the flat store at `dir` to the sharded layout in place,
-/// under the top-level store lock. Every entry source and manifest line
-/// is rewritten into its `fingerprint % shards` shard sub-store, the
-/// layout marker is committed atomically (the cutover point: a crash
-/// before it leaves the flat store fully intact, a crash after it leaves
-/// a complete sharded store plus flat remnants the unlink pass below
-/// would have removed), and the flat manifest and sources are unlinked.
-/// Ids are preserved (globally unique implies per-shard unique). Run it
-/// with no campaigns active over the store: a concurrent flat-layout
-/// writer blocked on the lock would resurrect a flat manifest beside
-/// the marker. Returns the number of entries migrated.
-pub fn shard_store(dir: &Path, shards: usize) -> Result<usize, String> {
-    shard_store_with(dir, shards, vfs::real())
+/// Where the source of entry `id` lives in the store at `dir`.
+pub(crate) fn source_path(dir: &Path, id: &str) -> PathBuf {
+    dir.join(ENTRIES_DIR).join(format!("{id}.java"))
 }
 
-/// [`shard_store`] with all I/O routed through `fs`.
-pub fn shard_store_with(dir: &Path, shards: usize, fs: Arc<dyn Vfs>) -> Result<usize, String> {
-    check_shard_count(shards)?;
-    if fs.exists(&dir.join(SHARDS_MARKER)) {
-        return Err(format!("store at {} is already sharded", dir.display()));
+/// Refuses a directory holding the sharded layout earlier versions wrote
+/// (`shards.json` beside `shards/NN/` sub-stores). That layout is no
+/// longer read, and reading the directory as a flat store would miss
+/// every entry, so init, open and fsck fail with the migration instead.
+pub(crate) fn refuse_sharded(fs: &dyn Vfs, dir: &Path) -> Result<(), String> {
+    if !fs.exists(&dir.join("shards.json")) {
+        return Ok(());
     }
-    let store = Store::open_with(dir, fs.clone())?;
-    let _lock = StoreLock::acquire_with_vfs(dir, DEFAULT_LOCK_TIMEOUT, fs.clone())?;
-    for shard in 0..shards {
-        let sdir = Store::shard_dir(dir, shard);
-        fs.create_dir_all(&sdir.join(ENTRIES_DIR))
-            .map_err(|e| format!("create {}: {e}", sdir.display()))?;
-    }
-    for (entry, program) in store.entries.iter().zip(&store.programs) {
-        let shard = (entry.fingerprint % shards as u64) as usize;
-        let path = Store::shard_dir(dir, shard)
-            .join(ENTRIES_DIR)
-            .join(format!("{}.java", entry.id));
-        vfs::write_atomic(fs.as_ref(), &path, &mjava::print(program))?;
-    }
-    for shard in 0..shards {
-        let in_shard = |f: u64| (f % shards as u64) as usize == shard;
-        let mut manifest = String::new();
-        manifest.push_str(&format!(
-            "{{\"type\":\"jcorpus\",\"version\":{STORE_VERSION}}}\n"
-        ));
-        for entry in store.entries.iter().filter(|e| in_shard(e.fingerprint)) {
-            manifest.push_str(&encode_entry(entry));
-            manifest.push('\n');
-        }
-        for tomb in store.tombstones.iter().filter(|t| in_shard(t.fingerprint)) {
-            manifest.push_str(&encode_tombstone(tomb));
-        }
-        vfs::write_atomic(
-            fs.as_ref(),
-            &Store::shard_dir(dir, shard).join(MANIFEST),
-            &manifest,
-        )?;
-    }
-    // The commit point: from here on, opens see the sharded layout.
-    vfs::write_atomic(
-        fs.as_ref(),
-        &dir.join(SHARDS_MARKER),
-        &shards_marker(shards),
-    )?;
-    // Drop the flat remnants (best-effort: leftovers are dead weight,
-    // not corruption — the marker owns layout detection).
-    let _ = fs.remove_file(&dir.join(MANIFEST));
-    for entry in &store.entries {
-        let _ = fs.remove_file(&dir.join(ENTRIES_DIR).join(format!("{}.java", entry.id)));
-    }
-    let _ = fs.fsync_dir(&dir.join(ENTRIES_DIR));
-    let _ = fs.fsync_dir(dir);
-    Ok(store.entries.len())
+    let dir = dir.display();
+    Err(format!(
+        "{dir} holds a sharded corpus store (shards.json), which is no longer supported; \
+         migrate it with `mopfuzzer corpus init NEWDIR`, then \
+         `mopfuzzer corpus import NEWDIR {dir}/shards/NN/entries` for each shard NN"
+    ))
 }
 
 /// Removes `*.tmp` siblings a crashed save left behind, in the store
@@ -1209,6 +825,34 @@ fn opt_u64_field(obj: &Json, key: &str, default: u64) -> Result<u64, String> {
 pub(crate) enum Decoded {
     Live(Entry, bool),
     Tomb(Tombstone),
+}
+
+impl Decoded {
+    fn id(&self) -> &str {
+        match self {
+            Decoded::Live(e, _) => &e.id,
+            Decoded::Tomb(t) => &t.id,
+        }
+    }
+
+    fn fingerprint(&self) -> u64 {
+        match self {
+            Decoded::Live(e, _) => e.fingerprint,
+            Decoded::Tomb(t) => t.fingerprint,
+        }
+    }
+
+    /// Whether one of our records with this committed record's
+    /// fingerprint may take its id: a tombstone always may, and a live
+    /// entry (`Some(source_hash)`) may when the committed record is live
+    /// with the same program, or is a v1 record that carries no hash.
+    fn agrees(&self, source_hash: Option<u64>) -> bool {
+        match (self, source_hash) {
+            (_, None) => true,
+            (Decoded::Live(c, has_hash), Some(hash)) => !has_hash || c.source_hash == hash,
+            (Decoded::Tomb(_), Some(_)) => false,
+        }
+    }
 }
 
 pub(crate) fn decode_line(line: &str) -> Result<Decoded, String> {
@@ -1504,217 +1148,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_init_open_round_trips() {
-        let dir = temp_dir("shard-roundtrip");
-        let mut store = Store::init_sharded(&dir, 4).unwrap();
-        assert_eq!(store.shards(), Some(4));
-        for (i, (name, program)) in seeds().into_iter().enumerate().take(6) {
-            let adm = store.admit(&name, &program, i as u64 + 10, Provenance::Builtin, None);
-            assert_eq!(adm, Admission::Fresh(name));
-        }
-        store
-            .set_stats(
-                "listing2",
-                EntryStats {
-                    schedules: 3,
-                    yield_sum: 41.25,
-                    faults: 1,
-                    bugs: 2,
-                },
-            )
-            .unwrap();
-        store.merge_quarantine(&[("listing2".to_string(), None)]);
-        store.save().unwrap();
-        assert!(dir.join(SHARDS_MARKER).exists());
-        assert!(!dir.join(MANIFEST).exists(), "no flat manifest");
-
-        let reopened = Store::open(&dir).unwrap();
-        assert_eq!(reopened.shards(), Some(4));
-        assert_eq!(reopened.len(), store.len());
-        assert_eq!(reopened.quarantine(), store.quarantine());
-        for entry in store.entries() {
-            assert_eq!(
-                reopened.program(&entry.name).unwrap(),
-                store.program(&entry.name).unwrap()
-            );
-            let reo = reopened
-                .entries()
-                .iter()
-                .find(|e| e.name == entry.name)
-                .unwrap();
-            assert_eq!(reo, entry);
-        }
-        assert!(reopened.stats_json().contains("\"shards\":4"));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_save_only_rewrites_dirty_shards() {
-        let dir = temp_dir("shard-dirty");
-        let mut store = Store::init_sharded(&dir, 4).unwrap();
-        let mut all = seeds();
-        let (a_name, a_prog) = all.remove(0);
-        let (b_name, b_prog) = all.remove(0);
-        store.admit(&a_name, &a_prog, 4, Provenance::Builtin, None); // shard 0
-        store.admit(&b_name, &b_prog, 5, Provenance::Builtin, None); // shard 1
-        store.save().unwrap();
-
-        let mut reopened = Store::open(&dir).unwrap();
-        // Corrupt shard 0's manifest mtime proxy: overwrite shard 1's
-        // manifest with a sentinel, then touch only shard 0 — the save
-        // must leave shard 1's file exactly as we left it.
-        let shard1_manifest = Store::shard_dir(&dir, 1).join(MANIFEST);
-        let sentinel = fs::read_to_string(&shard1_manifest).unwrap() + "\n\n";
-        fs::write(&shard1_manifest, &sentinel).unwrap();
-        reopened
-            .set_stats(
-                &a_name,
-                EntryStats {
-                    schedules: 1,
-                    yield_sum: 1.0,
-                    faults: 0,
-                    bugs: 0,
-                },
-            )
-            .unwrap();
-        reopened.save().unwrap();
-        assert_eq!(
-            fs::read_to_string(&shard1_manifest).unwrap(),
-            sentinel,
-            "clean shard untouched by the flush"
-        );
-        let shard0 = fs::read_to_string(Store::shard_dir(&dir, 0).join(MANIFEST)).unwrap();
-        assert!(shard0.contains("\"schedules\":1"), "{shard0}");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_migration_round_trips_and_fsck_stats_agree() {
-        let dir = temp_dir("shard-migrate");
-        let mut store = Store::init(&dir).unwrap();
-        for (i, (name, program)) in seeds().into_iter().enumerate().take(5) {
-            store.admit(&name, &program, i as u64 + 100, Provenance::Builtin, None);
-        }
-        store
-            .set_stats(
-                store.entries()[0].name.clone().as_str(),
-                EntryStats {
-                    schedules: 2,
-                    yield_sum: 7.5,
-                    faults: 0,
-                    bugs: 1,
-                },
-            )
-            .unwrap();
-        store.merge_quarantine(&[("x".to_string(), Some("Inlining".to_string()))]);
-        store.save().unwrap();
-        let flat_stats = store.stats_json();
-
-        let migrated = shard_store(&dir, 3).unwrap();
-        assert_eq!(migrated, 5);
-        assert!(!dir.join(MANIFEST).exists(), "flat manifest removed");
-
-        let sharded = Store::open(&dir).unwrap();
-        assert_eq!(sharded.shards(), Some(3));
-        assert_eq!(sharded.len(), 5);
-        assert_eq!(sharded.quarantine(), store.quarantine());
-        for entry in store.entries() {
-            let migrated_entry = sharded
-                .entries()
-                .iter()
-                .find(|e| e.name == entry.name)
-                .expect("entry survives migration");
-            assert_eq!(migrated_entry, entry, "ids and stats preserved");
-            assert_eq!(
-                sharded.program(&entry.name).unwrap(),
-                store.program(&entry.name).unwrap()
-            );
-        }
-        // Stats carry the layout and the same totals (entry order is
-        // shard-major after migration, so byte equality cannot hold).
-        let sharded_stats = sharded.stats_json();
-        assert!(sharded_stats.contains("\"shards\":3"), "{sharded_stats}");
-        let total = flat_stats.split("\"total_energy\":").nth(1).unwrap();
-        assert!(
-            sharded_stats.ends_with(&format!("\"total_energy\":{total}")),
-            "{sharded_stats}"
-        );
-        // Migrating twice fails; so does an absurd shard count.
-        assert!(shard_store(&dir, 3)
-            .unwrap_err()
-            .contains("already sharded"));
-        assert!(shard_store(&temp_dir("none"), 500).is_err());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_save_adopts_concurrent_flushes() {
-        let dir = temp_dir("shard-adopt");
-        let mut all = seeds();
-        let (base_name, base) = all.remove(0);
-        let (a_name, a_prog) = all.remove(0);
-        let (b_name, b_prog) = all.remove(0);
-        let mut init = Store::init_sharded(&dir, 2).unwrap();
-        init.admit(&base_name, &base, 1, Provenance::Builtin, None);
-        init.save().unwrap();
-        let mut campaign_a = Store::open(&dir).unwrap();
-        let mut campaign_b = Store::open(&dir).unwrap();
-        // Both tenants promote into the same shard (fingerprints ≡ 0
-        // mod 2) and race for the same per-shard id.
-        campaign_a.admit(&a_name, &a_prog, 100, Provenance::Promoted, None);
-        campaign_a.merge_quarantine(&[("s1".to_string(), None)]);
-        campaign_a.save().unwrap();
-        campaign_b.admit(&b_name, &b_prog, 200, Provenance::Promoted, None);
-        campaign_b.merge_quarantine(&[("s2".to_string(), Some("Inlining".to_string()))]);
-        campaign_b.save().unwrap();
-        let merged = Store::open(&dir).unwrap();
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged.quarantine().len(), 2);
-        for (name, program) in [(&a_name, &a_prog), (&b_name, &b_prog)] {
-            assert_eq!(merged.program(name).unwrap(), program);
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn cross_shard_name_collision_is_repaired_on_open() {
-        let dir = temp_dir("shard-rename");
-        let mut all = seeds();
-        let (_, a_prog) = all.remove(0);
-        let (_, b_prog) = all.remove(0);
-        let mut store = Store::init_sharded(&dir, 2).unwrap();
-        store.admit("seed", &a_prog, 2, Provenance::Builtin, None); // shard 0
-        store.save().unwrap();
-        // Simulate the concurrent-tenant race by planting the same name
-        // in shard 1 directly.
-        let mut other = Store::init(&temp_dir("shard-rename-src")).unwrap();
-        other.admit("seed", &b_prog, 3, Provenance::Builtin, None);
-        let sdir = Store::shard_dir(&dir, 1);
-        fs::write(
-            sdir.join(ENTRIES_DIR).join("c0001.java"),
-            mjava::print(&b_prog),
-        )
-        .unwrap();
-        let manifest = format!(
-            "{{\"type\":\"jcorpus\",\"version\":2}}\n{}\n",
-            encode_entry(&other.entries()[0])
-        );
-        fs::write(sdir.join(MANIFEST), manifest).unwrap();
-
-        let mut reopened = Store::open(&dir).unwrap();
-        let mut names: Vec<&str> = reopened.entries().iter().map(|e| e.name.as_str()).collect();
-        names.sort_unstable();
-        assert_eq!(names, ["seed", "seed_2"], "collision uniquified");
-        // The repair is persisted by the next save and stable thereafter.
-        reopened.save().unwrap();
-        let again = Store::open(&dir).unwrap();
-        let mut names: Vec<&str> = again.entries().iter().map(|e| e.name.as_str()).collect();
-        names.sort_unstable();
-        assert_eq!(names, ["seed", "seed_2"]);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn save_adopts_concurrent_flushes() {
         let dir = temp_dir("adopt");
         let mut all = seeds();
@@ -1745,7 +1178,143 @@ mod tests {
         let mut ids: Vec<&str> = merged.entries().iter().map(|e| e.id.as_str()).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 3, "adopted entries get fresh ids");
+        assert_eq!(
+            ids.len(),
+            3,
+            "entries racing for one id end under distinct ids"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A one-entry store and two campaigns over it (B's I/O through
+    /// `fs_b`), each holding one unsaved promotion under the same fresh
+    /// id: A's `arith_loop` (fingerprint 100) and B's program with
+    /// fingerprint `b_fingerprint`.
+    fn racing_campaigns(dir: &Path, fs_b: Arc<dyn Vfs>, b_fingerprint: u64) -> (Store, Store) {
+        let mut all = seeds();
+        let (base_name, base) = all.remove(0);
+        let (a_name, a_prog) = all.remove(0);
+        let (b_name, b_prog) = all.remove(0);
+        assert_eq!(a_name, "arith_loop");
+        let mut init = Store::init(dir).unwrap();
+        init.admit(&base_name, &base, 1, Provenance::Builtin, None);
+        init.save().unwrap();
+        let mut a = Store::open(dir).unwrap();
+        let mut b = Store::open_with(dir, fs_b).unwrap();
+        a.admit(&a_name, &a_prog, 100, Provenance::Promoted, None);
+        b.admit(&b_name, &b_prog, b_fingerprint, Provenance::Promoted, None);
+        assert_eq!(a.entries()[1].id, b.entries()[1].id);
+        (a, b)
+    }
+
+    /// Reopens the store at `dir` and checks that every live entry's
+    /// program hashes to its manifest `source_hash`.
+    fn assert_sources_match(dir: &Path, context: &str) -> Store {
+        let store = Store::open(dir).unwrap();
+        for entry in store.entries() {
+            let program = store.program(&entry.name).unwrap();
+            assert_eq!(
+                source_hash(program),
+                entry.source_hash,
+                "{context}: entry {} ({}) holds another program",
+                entry.id,
+                entry.name
+            );
+        }
+        store
+    }
+
+    /// B's save crashes after every mutating operation in turn, racing A
+    /// for one id with a different behaviour and with a duplicate
+    /// behaviour (same fingerprint, another program). A's committed
+    /// source is never overwritten: every reopened entry holds the
+    /// program its manifest hash names, before and after `fsck --repair`.
+    #[test]
+    fn a_crashed_concurrent_save_never_corrupts_a_committed_entry() {
+        let dir = temp_dir("race-crash");
+        for b_fingerprint in [200, 100] {
+            let probe = Arc::new(vfs::ChaosVfs::probe());
+            let (mut a, mut b) = racing_campaigns(&dir, probe.clone(), b_fingerprint);
+            a.save().unwrap();
+            let base = probe.ops();
+            b.save().unwrap();
+            let ops = probe.ops() - base;
+            assert_sources_match(&dir, "uninterrupted");
+            assert!(crate::fsck(&dir, false).unwrap().clean());
+            for n in 0..=ops {
+                let _ = fs::remove_dir_all(&dir);
+                let chaos = Arc::new(vfs::ChaosVfs::crash_after(base + n));
+                let (mut a, mut b) = racing_campaigns(&dir, chaos.clone(), b_fingerprint);
+                a.save().unwrap();
+                let _ = b.save();
+                let context = format!("fingerprint {b_fingerprint}, crash after op {n} of {ops}");
+                assert_sources_match(&dir, &context);
+                let report = crate::fsck(&dir, true).unwrap();
+                assert_eq!(
+                    report.unrepaired(),
+                    0,
+                    "{context}: {}",
+                    report.render_text()
+                );
+                let store = assert_sources_match(&dir, &context);
+                assert!(
+                    store.entries().iter().any(|e| e.fingerprint == 100),
+                    "{context}: the promotion of fingerprint 100 was lost"
+                );
+                assert!(crate::fsck(&dir, false).unwrap().clean(), "{context}");
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A saves, B saves, A saves again: the second save of A adopts B's
+    /// entry where B committed it and rewrites no committed source.
+    #[test]
+    fn interleaved_saves_keep_every_source_matching_its_hash() {
+        let dir = temp_dir("race-interleave");
+        let (mut a, mut b) = racing_campaigns(&dir, vfs::real(), 200);
+        a.save().unwrap();
+        b.save().unwrap();
+        let probe = Arc::new(vfs::ChaosVfs::probe());
+        a.fs = probe.clone();
+        a.save().unwrap();
+        let third = probe.ops();
+        let store = assert_sources_match(&dir, "A, B, A");
+        assert_eq!(store.len(), 3);
+        assert_eq!(a.entries(), store.entries());
+        // A's third save costs what saving an empty store costs: it
+        // writes no entry source.
+        let empty_dir = temp_dir("race-interleave-empty");
+        let mut empty = Store::init(&empty_dir).unwrap();
+        empty.fs = probe.clone();
+        empty.save().unwrap();
+        assert_eq!(probe.ops() - third, third);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&empty_dir);
+    }
+
+    /// A directory holding the sharded layout is refused by open, init
+    /// and fsck with the migration, even beside a flat manifest.
+    #[test]
+    fn sharded_layout_is_refused_with_the_migration() {
+        let dir = temp_dir("sharded");
+        Store::init(&dir).unwrap();
+        fs::write(
+            dir.join("shards.json"),
+            "{\"type\":\"jcorpus-shards\",\"version\":1,\"shards\":2}\n",
+        )
+        .unwrap();
+        let migration = format!(
+            "mopfuzzer corpus import NEWDIR {}/shards/NN/entries",
+            dir.display()
+        );
+        for err in [
+            Store::open(&dir).unwrap_err(),
+            Store::init(&dir).unwrap_err(),
+            crate::fsck(&dir, false).unwrap_err(),
+        ] {
+            assert!(err.contains(&migration), "{err}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -465,14 +465,11 @@ fn gc_tombstones_do_not_break_resume() {
 }
 
 /// Mutating filesystem operations of one save that follows dirtying a
-/// single entry's stats, on a store holding `entries` seeds in the given
-/// layout (`None` = flat, `Some(n)` = `n` shards).
-fn dirty_one_save_ops(tag: &str, entries: usize, shards: Option<usize>) -> u64 {
+/// single entry's stats (and, with `admit`, admitting one new program)
+/// on a store holding `entries` seeds.
+fn dirty_one_save_ops(tag: &str, entries: usize, admit: bool) -> u64 {
     let dir = temp_dir(tag);
-    let mut store = match shards {
-        Some(n) => jcorpus::Store::init_sharded(&dir, n).unwrap(),
-        None => jcorpus::Store::init(&dir).unwrap(),
-    };
+    let mut store = jcorpus::Store::init(&dir).unwrap();
     // Generated seeds can share a fingerprint, so import until the store
     // holds exactly `entries` distinct ones.
     for seed in corpus::corpus(2 * entries, 1) {
@@ -493,6 +490,11 @@ fn dirty_one_save_ops(tag: &str, entries: usize, shards: Option<usize>) -> u64 {
         ..Default::default()
     };
     store.set_stats(&name, stats).unwrap();
+    if admit {
+        let program = corpus::builtin()[0].program.clone();
+        let admission = store.admit("one_more", &program, 0, jcorpus::Provenance::Promoted, None);
+        assert_eq!(admission, jcorpus::Admission::Fresh("one_more".to_string()));
+    }
     let before = probe.ops();
     store.save().unwrap();
     let ops = probe.ops() - before;
@@ -500,24 +502,15 @@ fn dirty_one_save_ops(tag: &str, entries: usize, shards: Option<usize>) -> u64 {
     ops
 }
 
-/// A sharded save rewrites only the dirty shard, so flushing one entry
-/// costs strictly fewer mutating operations than a flat save of the same
-/// store, and doubling the corpus grows that cost only by the dirty
-/// shard's share, not by the whole corpus as a flat save does.
+/// Entry sources are write-once, so a flush rewrites the manifest and
+/// the quarantine but no committed source: flushing one entry's stats
+/// costs the same at 24 and at 48 entries, and admitting one entry adds
+/// exactly one atomic write (tmp write, fsync, rename, directory fsync).
 #[test]
-fn sharded_saves_rewrite_only_the_dirty_shard() {
-    let flat = dirty_one_save_ops("flush_flat", 24, None);
-    let flat_2x = dirty_one_save_ops("flush_flat_2x", 48, None);
-    let sharded = dirty_one_save_ops("flush_sharded", 24, Some(8));
-    let sharded_2x = dirty_one_save_ops("flush_sharded_2x", 48, Some(8));
-    assert!(sharded < flat, "sharded save {sharded} ops >= flat {flat}");
-    assert!(
-        sharded_2x < flat_2x,
-        "sharded save {sharded_2x} ops >= flat {flat_2x} at 2x entries"
-    );
-    assert!(
-        sharded_2x - sharded < flat_2x - flat,
-        "sharded save grew like a whole-store rewrite: {sharded} -> {sharded_2x} ops \
-         (flat {flat} -> {flat_2x})"
-    );
+fn one_entry_flushes_cost_the_same_at_any_store_size() {
+    let flush = dirty_one_save_ops("flush", 24, false);
+    let flush_2x = dirty_one_save_ops("flush_2x", 48, false);
+    assert_eq!(flush, flush_2x, "a stats flush grew with the store");
+    let admit = dirty_one_save_ops("flush_admit", 24, true);
+    assert_eq!(admit, flush + 4, "an admission costs one atomic write");
 }

@@ -5,8 +5,7 @@
 //! with other tenants journals byte-for-byte what a standalone CLI run
 //! with the same seed and worker counts journals — including across a
 //! SIGTERM-style drain plus `serve --resume`. These tests pin that
-//! promise with real sockets against an in-process [`mopfuzzerd::Server`],
-//! and pin the sharded corpus store's migration round-trip.
+//! promise with real sockets against an in-process [`mopfuzzerd::Server`].
 
 use mopfuzzerd::{Config, Server, CAMPAIGNS_DIR, JOURNAL_FILE, MAX_CONNECTIONS, SPEC_FILE};
 use std::io::{Read, Write};
@@ -351,83 +350,6 @@ fn copy_dir(src: &Path, dst: &Path) {
             std::fs::copy(entry.path(), &to).unwrap();
         }
     }
-}
-
-/// Sharded-store round trip: init flat, migrate in place, fsck clean,
-/// stats and entries preserved, and the sharded store still drives a
-/// campaign.
-#[test]
-fn shard_migration_round_trips_and_stays_campaignable() {
-    let dir = temp_dir("shards");
-    let store_dir = dir.join("store");
-    let mut store = jcorpus::Store::init(&store_dir).unwrap();
-    mopfuzzer::import_seeds(
-        &mut store,
-        &mopfuzzer::corpus::builtin(),
-        jcorpus::Provenance::Builtin,
-    )
-    .unwrap();
-    store.save().unwrap();
-    let flat_stats = store.stats_json();
-    let flat: Vec<(String, String)> = store
-        .entries()
-        .iter()
-        .map(|e| (e.name.clone(), e.id.clone()))
-        .collect();
-    drop(store);
-
-    let migrated = jcorpus::shard_store(&store_dir, 4).unwrap();
-    assert_eq!(migrated, flat.len());
-    let report = jcorpus::fsck(&store_dir, false).unwrap();
-    assert!(report.clean(), "{:?}", report.issues);
-
-    let sharded = jcorpus::Store::open(&store_dir).unwrap();
-    assert_eq!(sharded.shards(), Some(4));
-    assert_eq!(sharded.len(), flat.len());
-    for (name, id) in &flat {
-        let entry = sharded
-            .entries()
-            .iter()
-            .find(|e| &e.name == name)
-            .unwrap_or_else(|| panic!("entry {name} lost in migration"));
-        assert_eq!(&entry.id, id, "{name} changed id in migration");
-    }
-    // Same per-entry content: the stats pages agree on the total energy
-    // (ordering is shard-major, so whole-page bytes are not comparable).
-    let total = |stats: &str| {
-        stats
-            .rsplit_once("\"total_energy\":")
-            .map(|(_, tail)| tail.to_string())
-            .unwrap()
-    };
-    let sharded_stats = sharded.stats_json();
-    assert_eq!(total(&sharded_stats), total(&flat_stats));
-    assert!(sharded_stats.contains("\"shards\":4"), "{sharded_stats}");
-    drop(sharded);
-
-    // The migrated store still runs a campaign end to end.
-    let mut store = jcorpus::Store::open(&store_dir).unwrap();
-    let config = mopfuzzer::CampaignConfig {
-        iterations_per_seed: 4,
-        variant: mopfuzzer::Variant::Full,
-        rounds: 1,
-        pool: jvmsim::JvmSpec::differential_pool(),
-        rng_seed: 0,
-        supervisor: mopfuzzer::SupervisorConfig::default(),
-        fault: None,
-        jobs: 1,
-    };
-    let result = mopfuzzer::run_corpus_campaign(
-        &mut store,
-        &config,
-        &mopfuzzer::CorpusOptions::default(),
-        None,
-        None,
-    )
-    .unwrap();
-    assert_eq!(result.completed_rounds(), 1);
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The removed oracle worker count is refused loudly, pointing at
