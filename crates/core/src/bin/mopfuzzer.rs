@@ -213,7 +213,8 @@ fn print_usage() {
                                    campaign. Journals stay bit-identical\n\
                                    at any --jobs\n\
            --jobs N                worker threads executing rounds of a plain\n\
-                                   campaign (default: all hardware threads).\n\
+                                   campaign (default: all hardware threads;\n\
+                                   at most 256).\n\
                                    Journals and results are bit-identical at\n\
                                    any worker count. Corpus campaigns run\n\
                                    serially: they default to 1 and refuse\n\

@@ -75,18 +75,27 @@ const CORPUS_JOBS_SERIAL: &str = "--jobs (spec field \"jobs\") must be 1 for a c
      the power scheduler picks each round's seed from the merged results of every round \
      before it, so corpus campaigns run serially; run several campaigns to use more cores";
 
+/// The most round-level workers a campaign may run. Every worker is an
+/// OS thread of the process-wide pool, whose capacity never shrinks, so
+/// without a ceiling one daemon spec could start any number of threads.
+pub const MAX_JOBS: usize = 256;
+
 /// Resolves a requested worker count for a campaign, in the one place
 /// the CLI, the daemon and [`resume_campaign_extended`] share. Plain
-/// campaigns default to every hardware thread; corpus campaigns default
-/// to 1 and refuse more, because speculating ahead of the power
-/// scheduler mostly guesses wrong. `Some(0)` is an error.
+/// campaigns default to every hardware thread, up to [`MAX_JOBS`];
+/// corpus campaigns default to 1 and refuse more, because speculating
+/// ahead of the power scheduler mostly guesses wrong. `Some(0)` and
+/// anything above [`MAX_JOBS`] are errors.
 pub fn resolve_jobs(requested: Option<usize>, corpus: bool) -> Result<usize, String> {
     match requested {
         Some(0) => Err("--jobs (spec field \"jobs\") must be >= 1".to_string()),
+        Some(jobs) if jobs > MAX_JOBS => Err(format!(
+            "--jobs (spec field \"jobs\") must be at most {MAX_JOBS}, got {jobs}"
+        )),
         Some(jobs) if jobs > 1 && corpus => Err(CORPUS_JOBS_SERIAL.to_string()),
         Some(jobs) => Ok(jobs),
         None if corpus => Ok(1),
-        None => Ok(std::thread::available_parallelism().map_or(1, usize::from)),
+        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_JOBS))),
     }
 }
 
@@ -530,6 +539,17 @@ mod tests {
     use crate::corpus;
     use crate::supervisor::{BudgetKind, RoundError};
     use jvmsim::VmFault;
+
+    #[test]
+    fn jobs_above_the_ceiling_are_refused_without_starting_a_thread() {
+        assert_eq!(resolve_jobs(Some(MAX_JOBS), false), Ok(MAX_JOBS));
+        for corpus in [false, true] {
+            let err = resolve_jobs(Some(MAX_JOBS + 1), corpus).unwrap_err();
+            assert!(err.contains("at most 256"), "{err}");
+            assert!(resolve_jobs(Some(usize::MAX), corpus).is_err());
+        }
+        assert!((1..=MAX_JOBS).contains(&resolve_jobs(None, false).unwrap()));
+    }
 
     #[test]
     fn small_campaign_finds_at_least_one_bug() {

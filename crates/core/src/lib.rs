@@ -55,7 +55,7 @@ pub use campaign::{
     resolve_jobs, resume_campaign, resume_campaign_extended, run_campaign, run_campaign_observed,
     run_campaign_with_journal, run_campaign_with_journal_observed, run_corpus_campaign,
     run_corpus_campaign_with, CampaignConfig, CampaignObserver, CampaignResult, CorpusOptions,
-    FoundBug, ORACLE_JOBS_REMOVED,
+    FoundBug, MAX_JOBS, ORACLE_JOBS_REMOVED,
 };
 pub use corpus::{import_seeds, seeds_from_store, ImportOutcome, Seed};
 pub use fuzzer::{fuzz, FuzzConfig, FuzzOutcome, IterationRecord, WeightScheme};

@@ -31,11 +31,12 @@
 
 use crate::lock::{StoreLock, DEFAULT_LOCK_TIMEOUT};
 use crate::store::{
-    check_header, decode_line, decode_quarantine_line, esc, refuse_sharded, source_path, Decoded,
-    ENTRIES_DIR, MANIFEST, QUARANTINE,
+    check_header, decode_line, decode_quarantine_line, encode_tombstone, refuse_sharded,
+    source_path, Decoded, ENTRIES_DIR, MANIFEST, QUARANTINE,
 };
 use crate::vfs::{self, Vfs};
-use crate::{fingerprint_hex, source_hash, Tombstone};
+use crate::{source_hash, Tombstone};
+use jtelemetry::json::quote;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -133,9 +134,9 @@ impl FsckReport {
     /// Machine-readable report, one JSON object.
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"type\":\"jcorpus-fsck\",\"version\":1,\"dir\":\"{}\",\"repair\":{},\
+            "{{\"type\":\"jcorpus-fsck\",\"version\":1,\"dir\":{},\"repair\":{},\
              \"clean\":{},\"issues\":[",
-            esc(&self.dir.display().to_string()),
+            quote(&self.dir.display().to_string()),
             self.repair,
             self.clean(),
         );
@@ -144,10 +145,10 @@ impl FsckReport {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"kind\":\"{}\",\"path\":\"{}\",\"detail\":\"{}\",\"repaired\":{}}}",
+                "{{\"kind\":\"{}\",\"path\":{},\"detail\":{},\"repaired\":{}}}",
                 issue.kind.as_str(),
-                esc(&issue.path.display().to_string()),
-                esc(&issue.detail),
+                quote(&issue.path.display().to_string()),
+                quote(&issue.detail),
                 issue.repaired,
             ));
         }
@@ -366,16 +367,8 @@ fn check_sources(
                 };
                 tomb_ids.push(tomb.id.clone());
                 tombstoned.push(src);
-                scan.records.push((
-                    format!(
-                        "{{\"id\":\"{}\",\"name\":\"{}\",\"fingerprint\":\"{}\",\
-                         \"tombstone\":true}}",
-                        esc(&tomb.id),
-                        esc(&tomb.name),
-                        fingerprint_hex(tomb.fingerprint),
-                    ),
-                    Decoded::Tomb(tomb),
-                ));
+                let line = encode_tombstone(&tomb).trim_end().to_string();
+                scan.records.push((line, Decoded::Tomb(tomb)));
             }
         }
     }
@@ -755,11 +748,8 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"kind\":\"stale-tmp\""), "{json}");
         assert!(json.contains("\"clean\":false"), "{json}");
-        let parsed = jtelemetry::schema::parse_json(&json).unwrap();
-        assert!(matches!(
-            parsed.get("issues"),
-            Some(jtelemetry::schema::Json::Arr(_))
-        ));
+        let parsed = jtelemetry::json::parse(&json).unwrap();
+        assert!(parsed.get("issues").and_then(|i| i.as_arr()).is_some());
         let text = report.render_text();
         assert!(text.contains("stale-tmp"), "{text}");
         let _ = stdfs::remove_dir_all(&dir);

@@ -48,7 +48,7 @@ use crate::fingerprint::{fingerprint_hex, parse_fingerprint, source_hash};
 use crate::lock::{StoreLock, DEFAULT_LOCK_TIMEOUT};
 use crate::schedule::energy;
 use crate::vfs::{self, Vfs};
-use jtelemetry::schema::{parse_json, Json};
+use jtelemetry::json::{self, quote, Json};
 use mjava::Program;
 use std::collections::{BTreeMap, HashSet};
 #[cfg(test)]
@@ -451,24 +451,21 @@ impl Store {
     pub fn stats_json(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"type\":\"jcorpus-stats\",\"version\":1,\"dir\":\"{}\",",
-            esc(&self.dir.display().to_string())
+            "{{\"type\":\"jcorpus-stats\",\"version\":1,\"dir\":{},",
+            quote(&self.dir.display().to_string())
         ));
         out.push_str("\"entries\":[");
         for (i, e) in self.entries.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let parent = match &e.parent {
-                Some(p) => format!("\"{}\"", esc(p)),
-                None => "null".to_string(),
-            };
+            let parent = e.parent.as_deref().map_or("null".to_string(), quote);
             out.push_str(&format!(
-                "{{\"id\":\"{}\",\"name\":\"{}\",\"fingerprint\":\"{}\",\"provenance\":\"{}\",\
+                "{{\"id\":{},\"name\":{},\"fingerprint\":\"{}\",\"provenance\":\"{}\",\
                  \"parent\":{parent},\"schedules\":{},\"yield_sum\":{:?},\"faults\":{},\
                  \"bugs\":{},\"energy\":{:?},\"floor_streak\":{}}}",
-                esc(&e.id),
-                esc(&e.name),
+                quote(&e.id),
+                quote(&e.name),
                 fingerprint_hex(e.fingerprint),
                 e.provenance.as_str(),
                 e.stats.schedules,
@@ -485,9 +482,9 @@ impl Store {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"id\":\"{}\",\"name\":\"{}\",\"fingerprint\":\"{}\"}}",
-                esc(&t.id),
-                esc(&t.name),
+                "{{\"id\":{},\"name\":{},\"fingerprint\":\"{}\"}}",
+                quote(&t.id),
+                quote(&t.name),
                 fingerprint_hex(t.fingerprint),
             ));
         }
@@ -496,14 +493,7 @@ impl Store {
             if i > 0 {
                 out.push(',');
             }
-            let mutator = match mutator {
-                Some(m) => format!("\"{}\"", esc(m)),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "{{\"seed\":\"{}\",\"mutator\":{mutator}}}",
-                esc(seed)
-            ));
+            out.push_str(&encode_pair(seed, mutator.as_deref()));
         }
         let total: f64 = self.entries.iter().map(|e| energy(&e.stats)).sum();
         out.push_str(&format!("],\"total_energy\":{total:?}}}"));
@@ -566,14 +556,8 @@ impl Store {
         }
         let mut quarantine = String::new();
         for (seed, mutator) in &self.quarantine {
-            let mutator = match mutator {
-                Some(m) => format!("\"{}\"", esc(m)),
-                None => "null".to_string(),
-            };
-            quarantine.push_str(&format!(
-                "{{\"seed\":\"{}\",\"mutator\":{mutator}}}\n",
-                esc(seed)
-            ));
+            quarantine.push_str(&encode_pair(seed, mutator.as_deref()));
+            quarantine.push('\n');
         }
         vfs::write_atomic(self.fs.as_ref(), &self.dir.join(QUARANTINE), &quarantine)?;
         Ok(())
@@ -736,33 +720,14 @@ fn sweep_stale_tmp(fs: &dyn Vfs, dir: &Path) {
     }
 }
 
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn encode_entry(e: &Entry) -> String {
-    let parent = match &e.parent {
-        Some(p) => format!("\"{}\"", esc(p)),
-        None => "null".to_string(),
-    };
+    let parent = e.parent.as_deref().map_or("null".to_string(), quote);
     format!(
-        "{{\"id\":\"{}\",\"name\":\"{}\",\"fingerprint\":\"{}\",\"source_hash\":\"{}\",\
+        "{{\"id\":{},\"name\":{},\"fingerprint\":\"{}\",\"source_hash\":\"{}\",\
          \"provenance\":\"{}\",\"parent\":{parent},\"schedules\":{},\"yield_sum\":{:?},\
          \"faults\":{},\"bugs\":{},\"floor_streak\":{}}}",
-        esc(&e.id),
-        esc(&e.name),
+        quote(&e.id),
+        quote(&e.name),
         fingerprint_hex(e.fingerprint),
         fingerprint_hex(e.source_hash),
         e.provenance.as_str(),
@@ -776,48 +741,39 @@ fn encode_entry(e: &Entry) -> String {
 
 pub(crate) fn encode_tombstone(t: &Tombstone) -> String {
     format!(
-        "{{\"id\":\"{}\",\"name\":\"{}\",\"fingerprint\":\"{}\",\"tombstone\":true}}\n",
-        esc(&t.id),
-        esc(&t.name),
+        "{{\"id\":{},\"name\":{},\"fingerprint\":\"{}\",\"tombstone\":true}}\n",
+        quote(&t.id),
+        quote(&t.name),
         fingerprint_hex(t.fingerprint),
     )
 }
 
+/// One quarantined `(seed, mutator)` pair, as the quarantine file and
+/// `stats --json` both write it.
+fn encode_pair(seed: &str, mutator: Option<&str>) -> String {
+    let mutator = mutator.map_or("null".to_string(), quote);
+    format!("{{\"seed\":{},\"mutator\":{mutator}}}", quote(seed))
+}
+
 pub(crate) fn check_header(line: &str) -> Result<(), String> {
-    let json = parse_json(line)?;
-    match json.get("type") {
-        Some(Json::Str(t)) if t == "jcorpus" => {}
-        _ => return Err("not a jcorpus manifest".to_string()),
+    let json = json::parse(line)?;
+    if json.get("type").and_then(Json::as_str) != Some("jcorpus") {
+        return Err("not a jcorpus manifest".to_string());
     }
     match json.get("version") {
         // v1 manifests predate source hashes, floor streaks, and
         // tombstones; all three default sensibly on decode.
-        Some(Json::Num(v)) if *v == 1.0 || *v == STORE_VERSION as f64 => Ok(()),
+        Some(v) if matches!(v.as_u64(), Some(1 | STORE_VERSION)) => Ok(()),
         Some(Json::Num(v)) => Err(format!("unsupported store version {v}")),
         _ => Err("missing store version".to_string()),
     }
 }
 
 fn str_field(obj: &Json, key: &str) -> Result<String, String> {
-    match obj.get(key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        _ => Err(format!("missing string field {key:?}")),
-    }
-}
-
-fn u64_field(obj: &Json, key: &str) -> Result<u64, String> {
-    match obj.get(key) {
-        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-        _ => Err(format!("missing integer field {key:?}")),
-    }
-}
-
-/// Optional integer field, for v2 additions absent from v1 manifests.
-fn opt_u64_field(obj: &Json, key: &str, default: u64) -> Result<u64, String> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(_) => u64_field(obj, key),
-    }
+    obj.get(key)
+        .and_then(Json::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| format!("missing string field {key:?}"))
 }
 
 /// One decoded manifest line: a live entry (plus whether the manifest
@@ -856,23 +812,28 @@ impl Decoded {
 }
 
 pub(crate) fn decode_line(line: &str) -> Result<Decoded, String> {
-    let json = parse_json(line)?;
-    if let Some(Json::Bool(true)) = json.get("tombstone") {
+    let json = json::parse(line)?;
+    if json.get("tombstone").and_then(Json::as_bool) == Some(true) {
         return Ok(Decoded::Tomb(Tombstone {
             id: str_field(&json, "id")?,
             name: str_field(&json, "name")?,
             fingerprint: parse_fingerprint(&str_field(&json, "fingerprint")?)?,
         }));
     }
+    let int = |key: &str| {
+        json.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing integer field {key:?}"))
+    };
     let parent = match json.get("parent") {
         Some(Json::Str(s)) => Some(s.clone()),
         Some(Json::Null) | None => None,
         Some(other) => return Err(format!("bad parent: {other:?}")),
     };
-    let yield_sum = match json.get("yield_sum") {
-        Some(Json::Num(n)) => *n,
-        _ => return Err("missing number field \"yield_sum\"".to_string()),
-    };
+    let yield_sum = json
+        .get("yield_sum")
+        .and_then(Json::as_f64)
+        .ok_or("missing number field \"yield_sum\"")?;
     let (source_hash, has_hash) = match json.get("source_hash") {
         Some(Json::Str(s)) => (parse_fingerprint(s)?, true),
         _ => (0, false),
@@ -886,12 +847,16 @@ pub(crate) fn decode_line(line: &str) -> Result<Decoded, String> {
             provenance: Provenance::from_str(&str_field(&json, "provenance")?)?,
             parent,
             stats: EntryStats {
-                schedules: u64_field(&json, "schedules")?,
+                schedules: int("schedules")?,
                 yield_sum,
-                faults: u64_field(&json, "faults")?,
-                bugs: u64_field(&json, "bugs")?,
+                faults: int("faults")?,
+                bugs: int("bugs")?,
             },
-            floor_streak: opt_u64_field(&json, "floor_streak", 0)?,
+            // Absent from v1 manifests.
+            floor_streak: match json.get("floor_streak") {
+                None => 0,
+                Some(_) => int("floor_streak")?,
+            },
         },
         has_hash,
     ))
@@ -907,7 +872,7 @@ pub fn read_quarantine_dir(dir: &Path) -> Result<Vec<(String, Option<String>)>, 
 
 /// Decodes one quarantine line into its `(seed, mutator)` pair.
 pub(crate) fn decode_quarantine_line(line: &str) -> Result<(String, Option<String>), String> {
-    let json = parse_json(line)?;
+    let json = json::parse(line)?;
     let seed = str_field(&json, "seed")?;
     let mutator = match json.get("mutator") {
         Some(Json::Str(s)) => Some(s.clone()),

@@ -18,7 +18,8 @@
 //! * the top-N hot opcodes, when a `--profile` metrics JSONL stream is
 //!   supplied alongside.
 
-use jtelemetry::schema::{parse_json, validate_trace, Json};
+use jtelemetry::json::{self, Json};
+use jtelemetry::schema::validate_trace;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -35,24 +36,21 @@ struct Event {
 }
 
 fn num(event: &Json, key: &str) -> u64 {
-    match event.get(key) {
-        Some(Json::Num(n)) => *n as u64,
-        _ => 0,
-    }
+    event.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
 fn arg_u64(event: &Json, key: &str) -> u64 {
-    match event.get("args").and_then(|a| a.get(key)) {
-        Some(Json::Str(s)) => s.parse().unwrap_or(0),
-        _ => 0,
-    }
+    let arg = event.get("args").and_then(|a| a.get(key));
+    arg.and_then(Json::as_str)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
 }
 
-fn meta_str<'a>(other: &'a Json, key: &str) -> Option<&'a str> {
-    match other.get(key) {
-        Some(Json::Str(s)) => Some(s.as_str()),
-        _ => None,
-    }
+fn str_of(v: &Json, key: &str) -> String {
+    v.get(key)
+        .and_then(Json::as_str)
+        .unwrap_or_default()
+        .to_string()
 }
 
 fn fmt_wall(nanos: u64) -> String {
@@ -92,33 +90,29 @@ fn child_sums(events: &[Event], id: u64) -> BTreeMap<String, (u64, u64, u64)> {
 
 fn report(trace_text: &str, metrics_text: Option<&str>, top: usize) -> Result<String, String> {
     validate_trace(trace_text)?;
-    let root = parse_json(trace_text)?;
-    let raw = match root.get("traceEvents") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err("no traceEvents".to_string()),
-    };
-    let other = root.get("otherData").cloned().unwrap_or(Json::Null);
+    let root = json::parse(trace_text)?;
+    let raw = root
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .ok_or("no traceEvents")?;
+    let other = root.get("otherData");
+    let meta_str = |key: &str| other.and_then(|o| o.get(key)).and_then(Json::as_str);
     let events: Vec<Event> = raw
         .iter()
         .map(|e| Event {
-            name: match e.get("name") {
-                Some(Json::Str(s)) => s.clone(),
-                _ => String::new(),
-            },
+            name: str_of(e, "name"),
             pid: num(e, "pid"),
             id: arg_u64(e, "id"),
             parent: arg_u64(e, "parent"),
             dur_steps: arg_u64(e, "dur_steps"),
             wall_ns: arg_u64(e, "wall_ns"),
-            instant: matches!(e.get("ph"), Some(Json::Str(s)) if s == "i"),
+            instant: e.get("ph").and_then(Json::as_str) == Some("i"),
         })
         .collect();
 
     let mut out = String::new();
-    let clock = meta_str(&other, "clock").unwrap_or("?");
-    let jobs: u64 = meta_str(&other, "jobs")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let clock = meta_str("clock").unwrap_or("?");
+    let jobs: u64 = meta_str("jobs").and_then(|s| s.parse().ok()).unwrap_or(1);
     out.push_str(&format!(
         "== trace report ==\nevents: {} (clock: {clock}, jobs: {jobs})\n",
         events.len()
@@ -221,7 +215,7 @@ fn report(trace_text: &str, metrics_text: Option<&str>, top: usize) -> Result<St
             .iter()
             .filter(|e| e.name == "speculation_wasted")
             .count();
-        let campaign_wall: u64 = meta_str(&other, "campaign_wall_ns")
+        let campaign_wall: u64 = meta_str("campaign_wall_ns")
             .and_then(|s| s.parse().ok())
             .unwrap_or(0);
         out.push_str(&format!(
@@ -252,23 +246,14 @@ fn report(trace_text: &str, metrics_text: Option<&str>, top: usize) -> Result<St
             .lines()
             .rfind(|l| !l.trim().is_empty())
             .ok_or_else(|| "metrics stream has no snapshot lines".to_string())?;
-        let snap = parse_json(last)?;
-        let mut opcodes: Vec<(String, u64, u64)> = match snap.get("opcodes") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|o| {
-                    (
-                        match o.get("name") {
-                            Some(Json::Str(s)) => s.clone(),
-                            _ => String::new(),
-                        },
-                        num(o, "hits"),
-                        num(o, "nanos"),
-                    )
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
+        let snap = json::parse(last)?;
+        let mut opcodes: Vec<(String, u64, u64)> = snap
+            .get("opcodes")
+            .and_then(Json::as_arr)
+            .unwrap_or_default()
+            .iter()
+            .map(|o| (str_of(o, "name"), num(o, "hits"), num(o, "nanos")))
+            .collect();
         if opcodes.is_empty() {
             out.push_str("opcodes: none recorded (run with --profile)\n");
         } else {

@@ -2,10 +2,12 @@
 //! consumption, a Prometheus-style text page, a human end-of-campaign
 //! report, and a one-line live status for TTYs.
 //!
-//! Everything is hand-rolled text generation (no serde); the companion
-//! [`crate::schema`] module re-parses and validates both machine formats
-//! so CI catches drift between writer and reader.
+//! Everything is hand-rolled text generation (no serde), with strings
+//! quoted by [`crate::json`]'s escaper; [`crate::schema`] re-parses and
+//! validates both machine formats so CI catches drift between writer
+//! and reader.
 
+use crate::json::push_quoted;
 use crate::metrics::MetricsSnapshot;
 use crate::trace::TraceEvent;
 use crate::Session;
@@ -13,22 +15,6 @@ use std::collections::HashMap;
 
 /// Prefix shared by every Prometheus metric family we emit.
 pub const PROM_PREFIX: &str = "mop_";
-
-fn escape_json(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Formats an `f64` as a valid JSON number (non-finite values become 0).
 fn json_f64(v: f64) -> String {
@@ -56,7 +42,7 @@ pub fn jsonl_line(snap: &MetricsSnapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        escape_json(key, &mut out);
+        push_quoted(&mut out, key);
         out.push(':');
         out.push_str(&value.to_string());
     }
@@ -65,7 +51,7 @@ pub fn jsonl_line(snap: &MetricsSnapshot) -> String {
         if i > 0 {
             out.push(',');
         }
-        escape_json(key, &mut out);
+        push_quoted(&mut out, key);
         out.push(':');
         out.push_str(&json_f64(*value));
     }
@@ -75,7 +61,7 @@ pub fn jsonl_line(snap: &MetricsSnapshot) -> String {
             out.push(',');
         }
         out.push_str("{\"name\":");
-        escape_json(&span.name, &mut out);
+        push_quoted(&mut out, &span.name);
         out.push_str(&format!(
             ",\"count\":{},\"total_nanos\":{},\"self_nanos\":{},\"max_nanos\":{},\"buckets\":[",
             span.count, span.total_nanos, span.self_nanos, span.max_nanos
@@ -94,7 +80,7 @@ pub fn jsonl_line(snap: &MetricsSnapshot) -> String {
             out.push(',');
         }
         out.push_str("{\"name\":");
-        escape_json(&m.name, &mut out);
+        push_quoted(&mut out, &m.name);
         out.push_str(&format!(
             ",\"applies\":{},\"accepted\":{},\"rejected\":{},\"yield_sum\":{}",
             m.applies,
@@ -110,7 +96,7 @@ pub fn jsonl_line(snap: &MetricsSnapshot) -> String {
             out.push(',');
         }
         out.push_str("{\"name\":");
-        escape_json(&o.name, &mut out);
+        push_quoted(&mut out, &o.name);
         out.push_str(&format!(",\"hits\":{},\"nanos\":{}}}", o.hits, o.nanos));
     }
     out.push_str("]}");
@@ -320,7 +306,7 @@ fn absolute_opens(events: &[TraceEvent]) -> Vec<u64> {
 
 fn trace_event_json(event: &TraceEvent, ts: u64, dur: u64, pid: u64, out: &mut String) {
     out.push_str("{\"name\":");
-    escape_json(event.name, out);
+    push_quoted(out, event.name);
     if event.instant {
         out.push_str(&format!(
             ",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":0,\"args\":{{"
@@ -336,9 +322,9 @@ fn trace_event_json(event: &TraceEvent, ts: u64, dur: u64, pid: u64, out: &mut S
     ));
     for (key, value) in &event.args {
         out.push(',');
-        escape_json(key, out);
+        push_quoted(out, key);
         out.push(':');
-        escape_json(value, out);
+        push_quoted(out, value);
     }
     out.push_str("}}");
 }
@@ -396,9 +382,9 @@ pub fn trace_json(session: &Session, meta: &[(&str, String)]) -> Option<String> 
     ));
     for (key, value) in meta {
         out.push(',');
-        escape_json(key, &mut out);
+        push_quoted(&mut out, key);
         out.push(':');
-        escape_json(value, &mut out);
+        push_quoted(&mut out, value);
     }
     out.push_str("}}");
     Some(out)

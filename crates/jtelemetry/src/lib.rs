@@ -14,7 +14,9 @@
 //!   round faults, so a quarantined round is diagnosable after the fact;
 //! * exporters — JSONL snapshots, a Prometheus-style text format, a
 //!   human-readable end-of-campaign report, and a one-line TTY status
-//!   (see [`export`] and [`MetricsSnapshot`]).
+//!   (see [`export`] and [`MetricsSnapshot`]);
+//! * [`json`] — the workspace's one JSON value, parser and string
+//!   escaper, which every reader and writer of its JSON files shares.
 //!
 //! ## Sessions and overhead
 //!
@@ -49,6 +51,7 @@
 pub mod cancel;
 pub mod clock;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod schema;

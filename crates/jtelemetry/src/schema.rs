@@ -6,233 +6,13 @@
 //! keys, missing families, or a version bump without a schema update all
 //! fail — so writer/reader drift is caught the moment it is introduced.
 //!
-//! The JSON parser below is a deliberately small hand-rolled subset
-//! (objects, arrays, strings, numbers, bools, null): the workspace is
-//! dependency-free by construction.
+//! This module holds the validators only; documents are read with the
+//! workspace's one JSON codec, [`crate::json`].
 
 use crate::export::PROM_PREFIX;
+use crate::json::{self, Json};
 use crate::metrics::{Counter, Gauge, HIST_BUCKETS, SCHEMA_VERSION};
 use std::collections::BTreeMap;
-
-/// A parsed JSON value (numbers kept as `f64`; all inputs we emit are in
-/// exact-integer range or explicitly floating point).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Num(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
-        }
-    }
-
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(map) => map.get(key),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> String {
-        format!("json parse error at byte {}: {what}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(&format!("bad number '{text}'")))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Parses a complete JSON document (trailing whitespace allowed).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser::new(text);
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage after value"));
-    }
-    Ok(value)
-}
 
 fn want<'a>(obj: &'a Json, key: &str, typ: &str) -> Result<&'a Json, String> {
     let v = obj.get(key).ok_or_else(|| format!("missing key '{key}'"))?;
@@ -245,11 +25,20 @@ fn want<'a>(obj: &'a Json, key: &str, typ: &str) -> Result<&'a Json, String> {
     Ok(v)
 }
 
+/// A finite number: the exporters never write `inf` or `NaN`, so one in
+/// a telemetry document is corruption even though the parser reads it.
+fn finite(v: &Json) -> Option<f64> {
+    v.as_f64().filter(|n| n.is_finite())
+}
+
 fn want_num(obj: &Json, key: &str) -> Result<f64, String> {
-    match want(obj, key, "number")? {
-        Json::Num(n) => Ok(*n),
-        _ => unreachable!(),
-    }
+    finite(want(obj, key, "number")?).ok_or_else(|| format!("key '{key}': not a finite number"))
+}
+
+fn want_u64(obj: &Json, key: &str) -> Result<u64, String> {
+    want(obj, key, "number")?
+        .as_u64()
+        .ok_or_else(|| format!("key '{key}': not a non-negative integer"))
 }
 
 fn check_key_set(obj: &Json, what: &str, expected: &[&str]) -> Result<(), String> {
@@ -273,13 +62,13 @@ fn check_key_set(obj: &Json, what: &str, expected: &[&str]) -> Result<(), String
 /// Validates one JSONL telemetry snapshot line against the current
 /// schema. Strict: unknown counters/gauges or missing fields fail.
 pub fn validate_snapshot_line(line: &str) -> Result<(), String> {
-    let root = parse_json(line)?;
+    let root = json::parse(line)?;
     match want(&root, "type", "string")? {
         Json::Str(s) if s == "telemetry" => {}
         other => return Err(format!("type: expected \"telemetry\", got {other:?}")),
     }
-    let version = want_num(&root, "version")?;
-    if version != SCHEMA_VERSION as f64 {
+    let version = want_u64(&root, "version")?;
+    if version != SCHEMA_VERSION {
         return Err(format!(
             "version: expected {SCHEMA_VERSION}, got {version} (schema drift?)"
         ));
@@ -326,7 +115,7 @@ pub fn validate_snapshot_line(line: &str) -> Result<(), String> {
         match want(span, "buckets", "array")? {
             Json::Arr(buckets) if buckets.len() == HIST_BUCKETS => {
                 for b in buckets {
-                    if !matches!(b, Json::Num(_)) {
+                    if finite(b).is_none() {
                         return Err(format!("spans[{i}]: non-numeric bucket"));
                     }
                 }
@@ -391,7 +180,7 @@ pub fn validate_snapshot_line(line: &str) -> Result<(), String> {
 /// us — that every non-zero `parent` id resolves to an event on the
 /// same lane (no dangling parent links).
 pub fn validate_trace(text: &str) -> Result<(), String> {
-    let root = parse_json(text)?;
+    let root = json::parse(text)?;
     check_key_set(&root, "trace", &["traceEvents", "otherData"])?;
     let events = match want(&root, "traceEvents", "array")? {
         Json::Arr(items) => items,
@@ -432,7 +221,7 @@ pub fn validate_trace(text: &str) -> Result<(), String> {
         check_key_set(event, &format!("traceEvents[{i}]"), keys)?;
         want(event, "name", "string").map_err(at)?;
         want_num(event, "ts").map_err(at)?;
-        let pid = want_num(event, "pid").map_err(at)? as u64;
+        let pid = want_u64(event, "pid").map_err(at)?;
         want_num(event, "tid").map_err(at)?;
         if ph == "X" {
             want_num(event, "dur").map_err(at)?;
@@ -762,26 +551,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parser_roundtrips_basic_values() {
-        let v = parse_json(r#"{"a":[1,2.5,-3],"b":"x\"y","c":true,"d":null}"#).unwrap();
-        assert_eq!(v.get("b"), Some(&Json::Str("x\"y".to_string())));
-        assert_eq!(v.get("c"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("d"), Some(&Json::Null));
-        match v.get("a") {
-            Some(Json::Arr(items)) => assert_eq!(items.len(), 3),
-            other => panic!("expected array, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{}extra").is_err());
-        assert!(parse_json("tru").is_err());
-    }
-
-    #[test]
     fn validator_rejects_wrong_version() {
         let snap = crate::metrics::MetricsSnapshot {
             schema_version: SCHEMA_VERSION + 1,
@@ -798,19 +567,36 @@ mod tests {
     }
 
     #[test]
-    fn validator_rejects_missing_counter() {
-        let snap = crate::metrics::MetricsSnapshot {
+    fn validator_rejects_missing_or_non_finite_counters() {
+        let snap = |skip: usize| crate::metrics::MetricsSnapshot {
             schema_version: SCHEMA_VERSION,
             elapsed_nanos: 0,
-            counters: Counter::ALL.iter().skip(1).map(|c| (c.key(), 0)).collect(),
+            counters: Counter::ALL
+                .iter()
+                .skip(skip)
+                .map(|c| (c.key(), 0))
+                .collect(),
             gauges: Gauge::ALL.iter().map(|g| (g.key(), 0.0)).collect(),
             spans: Vec::new(),
             mutators: Vec::new(),
             opcodes: Vec::new(),
         };
-        let line = crate::export::jsonl_line(&snap);
+        let line = crate::export::jsonl_line(&snap(1));
         let err = validate_snapshot_line(&line).unwrap_err();
         assert!(err.contains("missing key"), "{err}");
+
+        // The parser reads `{:?}`'s non-finite spellings, so the
+        // validator has to refuse them itself.
+        let valid = crate::export::jsonl_line(&snap(0));
+        validate_snapshot_line(&valid).expect("valid line");
+        let counter = format!("\"{}\":0", Counter::ALL[0].key());
+        for bad in ["NaN", "-inf"] {
+            let fixed = format!("\"{}\":{bad}", Counter::ALL[0].key());
+            let line = valid.replacen(&counter, &fixed, 1);
+            assert_ne!(line, valid);
+            let err = validate_snapshot_line(&line).unwrap_err();
+            assert!(err.contains("finite"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -117,24 +117,6 @@ pub fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &s
     let _ = stream.flush();
 }
 
-/// Escapes a string for embedding in a JSON document (the daemon writes
-/// all of its JSON by hand, like every other crate in the workspace).
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,10 +163,5 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(round_trip(b"\r\n\r\n").is_err());
-    }
-
-    #[test]
-    fn escapes_json_strings() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

@@ -28,7 +28,7 @@
 mod http;
 mod registry;
 
-pub use http::{esc, read_request, respond, Request};
+pub use http::{read_request, respond, Request};
 pub use registry::{
     CampaignSpec, CampaignStatus, Registry, State, CAMPAIGNS_DIR, JOURNAL_FILE, SPEC_FILE,
     STATUS_FILE,
@@ -205,12 +205,7 @@ fn handle_connection(mut stream: TcpStream, registry: &Arc<Registry>) {
             let (status, content_type, body) = route(registry, &request);
             respond(&mut stream, status, content_type, &body);
         }
-        Err(e) => respond(
-            &mut stream,
-            400,
-            "application/json",
-            &format!("{{\"error\":\"{}\"}}\n", esc(&e)),
-        ),
+        Err(e) => respond(&mut stream, 400, "application/json", &error_body(&e)),
     }
 }
 
@@ -237,34 +232,31 @@ pub fn route(registry: &Arc<Registry>, request: &Request) -> (u16, &'static str,
         ("POST", "/campaigns") => {
             match CampaignSpec::from_json(&request.body).and_then(|spec| registry.submit(spec)) {
                 Ok(status) => (201, JSON, status.to_json() + "\n"),
-                Err(e) => (400, JSON, format!("{{\"error\":\"{}\"}}\n", esc(&e))),
+                Err(e) => (400, JSON, error_body(&e)),
             }
         }
         (_, path) => {
             let Some(rest) = path.strip_prefix("/campaigns/") else {
-                return (404, JSON, "{\"error\":\"no such route\"}\n".to_string());
+                return (404, JSON, error_body("no such route"));
             };
             match (method, rest.strip_suffix("/cancel")) {
                 ("POST", Some(id)) => match registry.cancel(id) {
                     Some(status) => (200, JSON, status.to_json() + "\n"),
-                    None => (404, JSON, unknown_campaign(id)),
+                    None => (404, JSON, error_body(&format!("no campaign {id}"))),
                 },
                 ("GET", None) => match registry.status(rest) {
                     Some(status) => (200, JSON, status.to_json() + "\n"),
-                    None => (404, JSON, unknown_campaign(rest)),
+                    None => (404, JSON, error_body(&format!("no campaign {rest}"))),
                 },
-                _ => (
-                    405,
-                    JSON,
-                    "{\"error\":\"method not allowed\"}\n".to_string(),
-                ),
+                _ => (405, JSON, error_body("method not allowed")),
             }
         }
     }
 }
 
-fn unknown_campaign(id: &str) -> String {
-    format!("{{\"error\":\"no campaign {}\"}}\n", esc(id))
+/// The JSON body of every error response.
+fn error_body(message: &str) -> String {
+    format!("{{\"error\":{}}}\n", jtelemetry::json::quote(message))
 }
 
 #[cfg(test)]

@@ -27,8 +27,7 @@
 //! re-adopts it and continues the journal bit-identically), and
 //! `failed` (the campaign returned an error).
 
-use crate::http::esc;
-use jtelemetry::schema::{parse_json, Json};
+use jtelemetry::json::{self, quote, Json};
 use jtelemetry::MetricsSnapshot;
 use jvmsim::JvmSpec;
 use mopfuzzer::{
@@ -68,11 +67,16 @@ pub struct CampaignSpec {
     pub round_timeout_ms: Option<u64>,
 }
 
-fn field_u64(json: &Json, key: &str) -> Result<Option<u64>, String> {
+/// An optional integer field, read exactly: `1e3`, `1.5`, `-1` and
+/// anything `T` cannot hold are errors, never rounded to a neighbour.
+fn opt_int<T: TryFrom<u64>>(json: &Json, key: &str) -> Result<Option<T>, String> {
     match json.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 0.0 => Ok(Some(*n as u64)),
-        Some(_) => Err(format!("\"{key}\" must be a non-negative integer")),
+        Some(v) => v
+            .as_u64()
+            .and_then(|n| T::try_from(n).ok())
+            .map(Some)
+            .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
     }
 }
 
@@ -85,12 +89,13 @@ impl CampaignSpec {
 
     /// [`CampaignSpec::from_json`], plus the `spec.json` files older
     /// daemons persisted when `persisted` is set: those accepted
-    /// `jobs > 1` with a corpus, and such a tenant runs at jobs 1, which
+    /// `jobs > 1` with a corpus and `jobs` above [`mopfuzzer::MAX_JOBS`].
+    /// Such a tenant runs at the most it may (1 over a corpus), which
     /// journals the same bytes because `jobs` is not journaled. Returns
     /// the lowered request alongside the spec.
     fn parse(text: &str, persisted: bool) -> Result<(CampaignSpec, Option<usize>), String> {
-        let json = parse_json(text)?;
-        let Json::Obj(map) = &json else {
+        let json = json::parse(text)?;
+        let Some(map) = json.as_obj() else {
             return Err("campaign spec must be a JSON object".to_string());
         };
         const KNOWN: [&str; 6] = [
@@ -109,8 +114,8 @@ impl CampaignSpec {
                 return Err(format!("unknown spec field \"{key}\""));
             }
         }
-        let rounds = field_u64(&json, "rounds")?
-            .ok_or_else(|| "\"rounds\" is required".to_string())? as usize;
+        let rounds =
+            opt_int(&json, "rounds")?.ok_or_else(|| "\"rounds\" is required".to_string())?;
         if rounds == 0 {
             return Err("\"rounds\" must be >= 1".to_string());
         }
@@ -119,16 +124,21 @@ impl CampaignSpec {
             Some(Json::Str(dir)) => Some(PathBuf::from(dir)),
             Some(_) => return Err("\"corpus\" must be a string".to_string()),
         };
-        let requested = field_u64(&json, "jobs")?.map(|n| n as usize);
-        let lowered = requested.filter(|&n| persisted && corpus.is_some() && n > 1);
-        let jobs = lowered.map_or(requested, |_| Some(1));
+        let requested: Option<usize> = opt_int(&json, "jobs")?;
+        let most = if corpus.is_some() {
+            1
+        } else {
+            mopfuzzer::MAX_JOBS
+        };
+        let lowered = requested.filter(|&n| persisted && n > most);
+        let jobs = lowered.map_or(requested, |_| Some(most));
         let spec = CampaignSpec {
             rounds,
-            rng_seed: field_u64(&json, "seed")?.unwrap_or(0),
-            iterations: field_u64(&json, "iterations")?.unwrap_or(50) as usize,
+            rng_seed: opt_int(&json, "seed")?.unwrap_or(0),
+            iterations: opt_int(&json, "iterations")?.unwrap_or(50),
             jobs: mopfuzzer::resolve_jobs(jobs, corpus.is_some())?,
             corpus,
-            round_timeout_ms: field_u64(&json, "round_timeout_ms")?,
+            round_timeout_ms: opt_int(&json, "round_timeout_ms")?,
         };
         Ok((spec, lowered))
     }
@@ -136,7 +146,7 @@ impl CampaignSpec {
     /// The resolved spec, in the same shape `from_json` accepts.
     pub fn to_json(&self) -> String {
         let corpus = match &self.corpus {
-            Some(dir) => format!("\"{}\"", esc(&dir.display().to_string())),
+            Some(dir) => quote(&dir.display().to_string()),
             None => "null".to_string(),
         };
         let timeout = match self.round_timeout_ms {
@@ -213,46 +223,40 @@ pub struct CampaignStatus {
 
 impl CampaignStatus {
     pub fn to_json(&self) -> String {
-        let error = match &self.error {
-            Some(e) => format!("\"{}\"", esc(e)),
-            None => "null".to_string(),
-        };
+        let error = self.error.as_deref().map_or("null".to_string(), quote);
         format!(
-            "{{\"id\":\"{}\",\"state\":\"{}\",\"rounds\":{},\"jobs\":{},\
+            "{{\"id\":{},\"state\":\"{}\",\"rounds\":{},\"jobs\":{},\
              \"completed_rounds\":{},\"bugs\":{},\"executions\":{},\"error\":{error},\
-             \"journal\":\"{}\"}}",
-            esc(&self.id),
+             \"journal\":{}}}",
+            quote(&self.id),
             self.state.as_str(),
             self.rounds,
             self.jobs,
             self.completed_rounds,
             self.bugs,
             self.executions,
-            esc(&self.journal.display().to_string()),
+            quote(&self.journal.display().to_string()),
         )
     }
 
     fn from_json(text: &str) -> Result<CampaignStatus, String> {
-        let json = parse_json(text)?;
+        let json = json::parse(text)?;
         let str_field = |key: &str| -> Result<String, String> {
-            match json.get(key) {
-                Some(Json::Str(s)) => Ok(s.clone()),
-                _ => Err(format!("status is missing \"{key}\"")),
-            }
+            json.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("status is missing \"{key}\""))
         };
         let state = State::from_str(&str_field("state")?)?;
         Ok(CampaignStatus {
             id: str_field("id")?,
             state,
-            rounds: field_u64(&json, "rounds")?.unwrap_or(0) as usize,
-            jobs: field_u64(&json, "jobs")?.unwrap_or(0) as usize,
-            completed_rounds: field_u64(&json, "completed_rounds")?.unwrap_or(0) as usize,
-            bugs: field_u64(&json, "bugs")?.unwrap_or(0) as usize,
-            executions: field_u64(&json, "executions")?.unwrap_or(0),
-            error: match json.get("error") {
-                Some(Json::Str(e)) => Some(e.clone()),
-                _ => None,
-            },
+            rounds: opt_int(&json, "rounds")?.unwrap_or(0),
+            jobs: opt_int(&json, "jobs")?.unwrap_or(0),
+            completed_rounds: opt_int(&json, "completed_rounds")?.unwrap_or(0),
+            bugs: opt_int(&json, "bugs")?.unwrap_or(0),
+            executions: opt_int(&json, "executions")?.unwrap_or(0),
+            error: json.get("error").and_then(Json::as_str).map(str::to_string),
             journal: PathBuf::from(str_field("journal")?),
         })
     }
@@ -369,8 +373,9 @@ impl Registry {
             let incomplete = !status.state.terminal();
             if let Some(requested) = lowered.filter(|_| incomplete && resume) {
                 eprintln!(
-                    "mopfuzzerd: campaign {id} asks for jobs {requested} over a corpus; \
-                     corpus campaigns run serially, so it runs at jobs 1"
+                    "mopfuzzerd: campaign {id} asks for jobs {requested}, more than it may \
+                     run (corpus campaigns run serially); it runs at jobs {}",
+                    spec.jobs
                 );
             }
             let tenant = Arc::new(Tenant {
@@ -753,10 +758,46 @@ mod tests {
         assert!(CampaignSpec::from_json("{\"rounds\":2,\"jobs\":0}")
             .unwrap_err()
             .contains("jobs"));
+        for jobs in ["257", "100000", "18446744073709551615"] {
+            let text = format!("{{\"rounds\":2,\"jobs\":{jobs}}}");
+            let err = CampaignSpec::from_json(&text).unwrap_err();
+            assert!(err.contains("at most 256"), "{jobs}: {err}");
+        }
         assert!(CampaignSpec::from_json("{\"rounds\":2,\"oracle_jobs\":1}")
             .unwrap_err()
             .contains("--jobs"));
         assert!(CampaignSpec::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn spec_integers_are_read_exactly() {
+        // 2^53 + 1 is the first integer an f64 cannot hold.
+        let big = CampaignSpec::from_json("{\"rounds\":1,\"seed\":9007199254740993}").unwrap();
+        assert_eq!(big.rng_seed, 9_007_199_254_740_993);
+        let max = CampaignSpec::from_json("{\"rounds\":1,\"seed\":18446744073709551615}").unwrap();
+        assert_eq!(max.rng_seed, u64::MAX);
+        assert_eq!(CampaignSpec::from_json(&max.to_json()).unwrap(), max);
+        for bad in [
+            r#"{"rounds":1,"seed":1e300}"#,
+            r#"{"rounds":1,"seed":18446744073709551616}"#,
+            r#"{"rounds":1,"seed":-1}"#,
+            r#"{"rounds":1.5}"#,
+            r#"{"rounds":1e3}"#,
+            r#"{"rounds":1,"jobs":1e300}"#,
+        ] {
+            let err = CampaignSpec::from_json(bad).unwrap_err();
+            assert!(
+                err.contains("must be a non-negative integer"),
+                "{bad}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn persisted_specs_above_the_jobs_ceiling_run_at_it() {
+        let text = "{\"rounds\":1,\"jobs\":100000}";
+        let (spec, lowered) = CampaignSpec::parse(text, true).unwrap();
+        assert_eq!((spec.jobs, lowered), (mopfuzzer::MAX_JOBS, Some(100_000)));
     }
 
     #[test]

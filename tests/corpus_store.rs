@@ -329,7 +329,7 @@ fn quarantine_persists_across_campaigns() {
 /// a typed, versioned object whose entries mirror the store.
 #[test]
 fn stats_json_is_machine_readable() {
-    use jtelemetry::schema::{parse_json, Json};
+    use jtelemetry::json::{parse, Json};
 
     let dir = temp_dir("stats_json");
     let mut store = seeded_store(&dir);
@@ -342,9 +342,9 @@ fn stats_json_is_machine_readable() {
     )
     .unwrap();
 
-    let json = parse_json(&store.stats_json()).expect("stats --json must be valid JSON");
+    let json = parse(&store.stats_json()).expect("stats --json must be valid JSON");
     assert_eq!(json.get("type"), Some(&Json::Str("jcorpus-stats".into())));
-    assert_eq!(json.get("version"), Some(&Json::Num(1.0)));
+    assert_eq!(json.get("version").and_then(Json::as_u64), Some(1));
     assert_eq!(json.get("dir"), Some(&Json::Str(dir.display().to_string())));
     let Some(Json::Arr(entries)) = json.get("entries") else {
         panic!("entries must be an array");
@@ -371,11 +371,11 @@ fn stats_json_is_machine_readable() {
             "floor_streak",
         ] {
             assert!(
-                matches!(entry.get(key), Some(Json::Num(_))),
+                entry.get(key).and_then(Json::as_f64).is_some(),
                 "{key} must be a number: {entry:?}"
             );
         }
-        let Some(Json::Num(energy)) = entry.get("energy") else {
+        let Some(energy) = entry.get("energy").and_then(Json::as_f64) else {
             unreachable!()
         };
         total += energy;
@@ -385,7 +385,7 @@ fn stats_json_is_machine_readable() {
         panic!("quarantine must be an array");
     };
     assert_eq!(quarantine.len(), store.quarantine().len());
-    let Some(Json::Num(reported)) = json.get("total_energy") else {
+    let Some(reported) = json.get("total_energy").and_then(Json::as_f64) else {
         panic!("total_energy must be a number");
     };
     assert!((reported - total).abs() < 1e-9);
