@@ -200,7 +200,7 @@ fn print_usage() {
                                    it as Chrome trace-event JSON at campaign\n\
                                    end — loadable in Perfetto / chrome://\n\
                                    tracing. FILE of '-' writes to stdout\n\
-           --profile [true|false]  sample the interpreter per opcode and\n\
+           --profile [true|false]  sample the running substrate per opcode and\n\
                                    report the hottest opcodes in metrics\n\
                                    snapshots and the campaign-end report\n\
            --max-steps N           stop after N interpreter steps (simulated time)\n\
@@ -396,9 +396,15 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         project_path: map.get("project_path").map(PathBuf::from),
         target_case: map.get("target_case").map(|s| s.to_string()),
         jdks,
-        guided: map
-            .get("enable_profile_guide")
-            .is_none_or(|v| *v != "false"),
+        guided: match map.get("enable_profile_guide").copied() {
+            None | Some("true") => true,
+            Some("false") => false,
+            Some(other) => {
+                return Err(format!(
+                    "bad --enable_profile_guide {other:?} (expected 'true' or 'false')"
+                ))
+            }
+        },
         iterations: num(&map, "iterations")?.unwrap_or(50),
         rng: num(&map, "rng")?.unwrap_or(0),
         out: map

@@ -775,6 +775,22 @@ fn sigint_is_graceful_and_resume_converges_bit_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--enable_profile_guide` takes exactly `true` or `false`: a mistyped
+/// value must fail rather than silently run the guided campaign.
+#[test]
+fn enable_profile_guide_rejects_other_values() {
+    for value in ["False", "0", "no"] {
+        let out = bin()
+            .args(["--rounds", "1", "--iterations", "1"])
+            .args(["--enable_profile_guide", value])
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "{value:?} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("bad --enable_profile_guide"), "{stderr}");
+    }
+}
+
 #[test]
 fn rejects_bad_jvm_spec() {
     let out = bin()

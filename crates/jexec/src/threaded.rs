@@ -62,7 +62,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Opcode-array value for the pc sentinel: the interpreter errors on fetch,
+/// Micro-table value for the pc sentinel: the interpreter errors on fetch,
 /// before profiler attribution, so the sentinel must not be profiled.
 const NO_OPCODE: u8 = u8::MAX;
 
@@ -130,12 +130,11 @@ enum Op {
     // ---- superinstructions (fused bodies only, see [`fuse`]) ----
     //
     // Each replaces a straight-line run of the plain ops above with one
-    // dispatch. Execution stays micro-step exact: the dispatch prologue
-    // accounts for the first constituent instruction and every further
-    // one "ticks" fuel/steps/cancellation individually, so fuel
-    // exhaustion, error timing, and watchdog polls are bit-identical to
-    // the unfused body. Profiled runs never execute these (the profiler
-    // attributes per original opcode, so they run the unfused twin).
+    // dispatch. Execution stays micro-step exact: every constituent
+    // instruction "ticks" fuel/steps/cancellation (and, when profiling,
+    // its opcode) individually, so fuel exhaustion, error timing,
+    // watchdog polls, and opcode attribution are bit-identical to the
+    // interpreter's.
     /// Two pushes: `Load`/`ConstVal`/`GetStatic` × 2.
     Push2 {
         a: Src,
@@ -225,8 +224,7 @@ enum Op {
     /// executed inline via the inlines table: no frame push, no code
     /// lookup, one dispatch for the call plus per-micro ticks for the
     /// callee's instructions — step accounting identical to the real
-    /// call. Fused bodies only; the unfused twin keeps the plain
-    /// [`Op::Invoke`] so profiled runs attribute callee opcodes normally.
+    /// call.
     InlineCall(u16),
 }
 
@@ -234,7 +232,7 @@ enum Op {
 /// ops that already passed lowering-time bounds checks).
 #[derive(Debug, Clone, Copy)]
 enum Src {
-    /// Pop from the operand stack (the value a preceding unfused op left).
+    /// Pop from the operand stack (the value a preceding plain op left).
     Stack,
     Local(u16),
     Static(u32),
@@ -355,8 +353,7 @@ struct RCall {
     action: CallAction,
 }
 
-/// Resolution side tables, shared between a method's fused and unfused
-/// bodies (the fused body references the same call/field data).
+/// Resolution side tables: the field, call, and dispatch data ops index.
 #[derive(Debug)]
 struct SideTables {
     fields: Box<[FieldTable]>,
@@ -368,22 +365,18 @@ struct SideTables {
 /// One method's lowered body plus its resolution side tables.
 #[derive(Debug)]
 pub struct ThreadedCode {
-    /// The ops array, ending in the pc-out-of-range sentinel. Unfused
-    /// bodies hold `instrs.len() + 1` ops; fused bodies fewer.
+    /// The ops array, ending in the pc-out-of-range sentinel.
     ops: Box<[Op]>,
-    /// Original opcode index per op, for `--profile` attribution.
-    /// Empty on fused bodies — profiled runs execute the unfused twin.
-    opcodes: Box<[u8]>,
+    /// Opcode indices of every op's constituent instructions in execution
+    /// order, for `--profile` attribution: op `i`'s micros start at
+    /// `micros[micro_at[i]]`, one per tick. Filled in by [`fuse`].
+    micros: Box<[u8]>,
+    micro_at: Box<[u32]>,
     n_locals: u16,
     max_stack: u16,
-    tables: Arc<SideTables>,
+    tables: SideTables,
     /// Inline-expanded leaf callees referenced by [`Op::InlineCall`].
-    /// Empty on unfused bodies.
     inlines: Box<[InlineInfo]>,
-    /// The unfused twin of a fused body (`None` when self is unfused).
-    /// Profiled runs execute it so per-opcode attribution, which samples
-    /// individual steps, sees every original instruction.
-    unfused: Option<Arc<ThreadedCode>>,
 }
 
 /// Statistics of the process-wide code cache (for benches and debugging).
@@ -422,14 +415,6 @@ fn cache_read() -> RwLockReadGuard<'static, CodeMap> {
 
 fn cache_write() -> RwLockWriteGuard<'static, CodeMap> {
     cache().write().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Renders a method's fused op array, one op per line (development
-/// tooling for inspecting what the fuser built; not a stable format).
-#[doc(hidden)]
-pub fn dump_fused(image: &Image, mid: MethodId) -> Vec<String> {
-    let tc = fuse(image, Arc::new(lower(image, mid)));
-    tc.ops.iter().map(|op| format!("{op:?}")).collect()
 }
 
 /// Empties the cache and zeroes its statistics.
@@ -472,9 +457,8 @@ fn lookup_or_lower(image: &Image, mid: MethodId) -> Arc<ThreadedCode> {
     CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
     // Lower outside the lock: lowering is a pure function of the key, so
     // racing writers insert interchangeable values and `or_insert` keeps
-    // the first. The cache stores the fused body; its unfused twin rides
-    // along inside for profiled runs.
-    let tc = Arc::new(fuse(image, Arc::new(lower(image, mid))));
+    // the first.
+    let tc = Arc::new(fuse(image, mid, lower(image, mid)));
     let mut map = cache_write();
     let flushed = (map.len() >= CACHE_CAP).then(|| std::mem::take(&mut *map));
     let tc = Arc::clone(map.entry(key).or_insert(tc));
@@ -780,7 +764,6 @@ fn lower(image: &Image, mid: MethodId) -> ThreadedCode {
     }
 
     let mut ops = Vec::with_capacity(n + 1);
-    let mut opcodes = Vec::with_capacity(n + 1);
     let mut fields: Vec<FieldTable> = Vec::new();
     let mut field_ids: HashMap<&str, u16> = HashMap::new();
     let mut calls: Vec<CallInfo> = Vec::new();
@@ -791,7 +774,6 @@ fn lower(image: &Image, mid: MethodId) -> ThreadedCode {
     let clamp = |target: usize| -> u32 { target.min(n) as u32 };
 
     for (pc, instr) in code.instrs.iter().enumerate() {
-        opcodes.push(opcode_index(instr) as u8);
         let op = match instr {
             Instr::ConstI(v) => Op::ConstVal(slot::pack(Value::Int(*v))),
             Instr::ConstL(v) => Op::ConstVal(slot::pack(Value::Long(*v))),
@@ -974,35 +956,35 @@ fn lower(image: &Image, mid: MethodId) -> ThreadedCode {
     // interpreter's "pc out of range" after fuel/step/cancel accounting but
     // before profiler attribution.
     ops.push(Op::Corrupt(CorruptKind::Pc));
-    opcodes.push(NO_OPCODE);
 
     ThreadedCode {
         ops: ops.into_boxed_slice(),
-        opcodes: opcodes.into_boxed_slice(),
+        micros: Box::new([]),
+        micro_at: Box::new([]),
         n_locals: code.n_locals,
         // Recompute: hand-built code may understate its own metadata.
         max_stack: Code::compute_max_stack(&code.instrs),
-        tables: Arc::new(SideTables {
+        tables: SideTables {
             fields: fields.into_boxed_slice(),
             calls: calls.into_boxed_slice(),
             vcalls: vcalls.into_boxed_slice(),
             rcalls: rcalls.into_boxed_slice(),
-        }),
+        },
         inlines: Box::new([]),
-        unfused: None,
     }
 }
 
-/// Builds the fused body of an unfused lowering: maximal straight-line
-/// runs of fetch/arith/compare/store/branch ops collapse into the
-/// superinstructions at the tail of [`Op`], one dispatch each, and
-/// statically resolved calls to tiny leaves become [`Op::InlineCall`]s.
+/// Fuses the lowering of method `mid` into its executable body: maximal
+/// straight-line runs of fetch/arith/compare/store/branch ops collapse
+/// into the superinstructions at the tail of [`Op`], one dispatch each,
+/// statically resolved calls to tiny leaves become [`Op::InlineCall`]s,
+/// and every op records its constituent opcodes for `--profile`.
 ///
 /// Groups never span a branch target (every target starts a group, so
 /// remapped jumps stay valid), and only ops already validated by
 /// [`lower`] participate — `Corrupt`/`HostPanic` ops are never folded.
-fn fuse(image: &Image, unfused: Arc<ThreadedCode>) -> ThreadedCode {
-    let ops = &unfused.ops;
+fn fuse(image: &Image, mid: MethodId, mut tc: ThreadedCode) -> ThreadedCode {
+    let ops = &tc.ops;
     let n = ops.len() - 1; // exclude the pc sentinel
     let mut is_target = vec![false; n + 1];
     for op in ops.iter() {
@@ -1048,9 +1030,12 @@ fn fuse(image: &Image, unfused: Arc<ThreadedCode>) -> ThreadedCode {
 
     let mut fused: Vec<Op> = Vec::with_capacity(n + 1);
     let mut orig_to_fused = vec![u32::MAX; n + 1];
+    // `group_at[f]`: the original pc where fused op `f`'s group starts.
+    let mut group_at: Vec<u32> = Vec::with_capacity(n + 1);
     let mut i = 0usize;
     while i < n {
         orig_to_fused[i] = fused.len() as u32;
+        group_at.push(i as u32);
         // `free(j)`: op j exists and may be consumed mid-group (nothing
         // jumps into it).
         let free = |j: usize| j < n && !is_target[j];
@@ -1274,7 +1259,25 @@ fn fuse(image: &Image, unfused: Arc<ThreadedCode>) -> ThreadedCode {
         i += k;
     }
     orig_to_fused[n] = fused.len() as u32;
+    group_at.push(n as u32);
     fused.push(Op::Corrupt(CorruptKind::Pc));
+
+    // Groups are contiguous runs of original instructions, so the original
+    // opcode sequence doubles as the micro table: group `f`'s micros are
+    // `group_at[f]..group_at[f + 1]`. The latch and inlining rewrites below
+    // append longer sequences and repoint `micro_at`.
+    let instrs = &image.methods[mid].code.instrs;
+    let mut micros: Vec<u8> = instrs.iter().map(|ins| opcode_index(ins) as u8).collect();
+    micros.push(NO_OPCODE);
+    let mut micro_at = group_at.clone();
+    let group = |f: usize| group_at[f] as usize..group_at[f + 1] as usize;
+    let append = |micros: &mut Vec<u8>, parts: &[std::ops::Range<usize>]| {
+        let at = micros.len() as u32;
+        for part in parts {
+            micros.extend_from_within(part.clone());
+        }
+        at
+    };
 
     // Remap branch targets into fused index space. Every target is a
     // group start (the fuser never consumes a targeted op mid-group).
@@ -1294,7 +1297,8 @@ fn fuse(image: &Image, unfused: Arc<ThreadedCode>) -> ThreadedCode {
     // into a fused `CmpBr` collapses into one `IncLatch` dispatch per
     // iteration. Only slot j is rewritten — the `Jump` at j+1 and the
     // `CmpBr` stay in place, so any branch into the middle of the
-    // pattern still sees identical semantics.
+    // pattern still sees identical semantics. Its micros are the `Bin`
+    // group, the `Jump`, and the header group.
     for j in 0..fused.len().saturating_sub(1) {
         if let (
             Op::Bin {
@@ -1331,6 +1335,10 @@ fn fuse(image: &Image, unfused: Arc<ThreadedCode>) -> ThreadedCode {
                     exit,
                     fall: target + 1,
                 };
+                micro_at[j] = append(
+                    &mut micros,
+                    &[group(j), group(j + 1), group(target as usize)],
+                );
             }
         }
     }
@@ -1362,26 +1370,30 @@ fn fuse(image: &Image, unfused: Arc<ThreadedCode>) -> ThreadedCode {
                     exit,
                     fall: target + 1,
                 };
+                micro_at[j] = append(&mut micros, &[group(j), group(target as usize)]);
             }
         }
     }
 
     // Leaf-call inlining: a statically resolved `Invoke` of a tiny
     // straight-line callee executes the callee's micro-ops in place —
-    // no frame push, no per-call code lookup. Fused bodies only; the
-    // unfused twin keeps the plain `Invoke` so profiled runs attribute
-    // the callee's opcodes individually. The code-cache key covers the
-    // callee fingerprints (see [`lookup_or_lower`]), so `install_code`
-    // on the callee invalidates this body.
+    // no frame push, no per-call code lookup. Its micros are the `Invoke`
+    // plus the callee's instructions up to its return (the leaf body is
+    // exactly that prefix). The code-cache key covers the callee
+    // fingerprints (see [`lookup_or_lower`]), so `install_code` on the
+    // callee invalidates this body.
     let mut inlines: Vec<InlineInfo> = Vec::new();
-    for op in &mut fused {
+    for (f, op) in fused.iter_mut().enumerate() {
         if let Op::Invoke(ci) = op {
-            let info = &unfused.tables.calls[*ci as usize];
+            let info = &tc.tables.calls[*ci as usize];
             if let CallAction::Goto { mid, needs_recv } = &info.action {
                 if info.pops_recv == *needs_recv && inlines.len() < u16::MAX as usize {
                     if let Some(inl) =
                         build_leaf_inline(image, *mid as usize, info.argc, *needs_recv)
                     {
+                        micro_at[f] = append(&mut micros, &[group(f)]);
+                        let leaf = &image.methods[*mid as usize].code.instrs[..inl.body.len()];
+                        micros.extend(leaf.iter().map(|ins| opcode_index(ins) as u8));
                         inlines.push(inl);
                         *op = Op::InlineCall((inlines.len() - 1) as u16);
                     }
@@ -1390,15 +1402,11 @@ fn fuse(image: &Image, unfused: Arc<ThreadedCode>) -> ThreadedCode {
         }
     }
 
-    ThreadedCode {
-        ops: fused.into_boxed_slice(),
-        opcodes: Box::new([]),
-        n_locals: unfused.n_locals,
-        max_stack: unfused.max_stack,
-        tables: Arc::clone(&unfused.tables),
-        inlines: inlines.into_boxed_slice(),
-        unfused: Some(unfused),
-    }
+    tc.ops = fused.into_boxed_slice();
+    tc.micros = micros.into_boxed_slice();
+    tc.micro_at = micro_at.into_boxed_slice();
+    tc.inlines = inlines.into_boxed_slice();
+    tc
 }
 
 /// Cap on the instruction count of an inlinable leaf body.
@@ -1686,14 +1694,6 @@ impl<'i> TMachine<'i> {
             return Arc::clone(tc);
         }
         let tc = lookup_or_lower(self.image, mid);
-        // Profiled runs execute the unfused twin: opcode attribution
-        // samples individual steps, so every original instruction must
-        // dispatch individually. Unprofiled runs get the fused body.
-        let tc = if self.profiler.is_some() {
-            tc.unfused.clone().unwrap_or(tc)
-        } else {
-            tc
-        };
         self.lowered[mid] = Some(Arc::clone(&tc));
         tc
     }
@@ -1736,6 +1736,9 @@ impl<'i> TMachine<'i> {
         // (host bugs, watchdog aborts) discard the machine anyway.
         let mut fuel = self.fuel;
         let mut steps = self.stats.steps;
+        // Profiled runs only: the next micro of the current op to credit
+        // (an index into `cur_code.micros`), set at every dispatch.
+        let mut cursor = 0usize;
 
         macro_rules! pop {
             () => {{
@@ -1759,11 +1762,11 @@ impl<'i> TMachine<'i> {
             }};
         }
 
-        /// One additional micro-step inside a superinstruction: exactly
-        /// the per-step accounting the unfused loop performs (fuel gate,
-        /// step count, watchdog poll cadence), so fused execution is
-        /// step-exact. Profiler attribution is absent by construction —
-        /// profiled runs execute the unfused twin.
+        /// One micro-step: exactly the interpreter's per-instruction
+        /// accounting (fuel gate, step count, watchdog poll cadence) and,
+        /// in the `PROFILED` instantiation, attribution of the current
+        /// op's next constituent opcode — so a cut or error mid-group
+        /// credits only the micros that ran.
         macro_rules! tick {
             () => {
                 if fuel == 0 {
@@ -1774,21 +1777,31 @@ impl<'i> TMachine<'i> {
                 if steps & 0xFFF == 0 {
                     jtelemetry::cancel::check("interpreter");
                 }
+                if PROFILED {
+                    if let Some(profiler) = &mut self.profiler {
+                        let idx = cur_code.micros[cursor];
+                        if idx != NO_OPCODE {
+                            profiler.step(steps, idx as usize);
+                        }
+                    }
+                    cursor += 1;
+                }
             };
         }
 
         /// Batch accounting for a superinstruction's `$rest` micro-steps
-        /// beyond the prologue-ticked first one. When the whole group
-        /// fits before the next fuel wall *and* the next watchdog poll
-        /// boundary, account it in one shot and bind `$fast = true`;
-        /// the arm's [`mtick!`] sites then compile to no-ops and any
-        /// mid-group error rolls the overshoot back. Otherwise fall back
+        /// (or those of an inlined leaf body). When the whole group fits
+        /// before the next fuel wall *and* the next watchdog poll
+        /// boundary, account it in one shot and bind `$fast = true`; the
+        /// arm's [`mtick!`] sites then compile to no-ops and any mid-group
+        /// error rolls the overshoot back. Otherwise, and always in the
+        /// `PROFILED` instantiation (attribution is per micro), fall back
         /// to per-micro ticking (`$fast = false`), which is bit-exact at
         /// every boundary.
         macro_rules! batched {
             ($rest:expr, $fast:ident) => {
                 let rest: u64 = $rest;
-                let $fast = fuel >= rest && (steps & 0xFFF) + rest < 0x1000;
+                let $fast = !PROFILED && fuel >= rest && (steps & 0xFFF) + rest < 0x1000;
                 if $fast {
                     fuel -= rest;
                     steps += rest;
@@ -1928,26 +1941,6 @@ impl<'i> TMachine<'i> {
             }};
         }
 
-        /// Per-dispatch prologue of every *plain* (unfused) arm: one
-        /// tick plus, in the `PROFILED` instantiation, per-opcode
-        /// attribution. Superinstruction arms account their whole width
-        /// through [`batched!`] instead and never run profiled (the
-        /// profiler executes the unfused twin), so the profiler check
-        /// vanishes from the unprofiled instantiation entirely.
-        macro_rules! pro {
-            () => {
-                tick!();
-                if PROFILED {
-                    if let Some(profiler) = &mut self.profiler {
-                        let idx = cur_code.opcodes[pc];
-                        if idx != NO_OPCODE {
-                            profiler.step(steps, idx as usize);
-                        }
-                    }
-                }
-            };
-        }
-
         let mut dispatch = || -> Result<(), ExecError> {
             // The outer loop re-borrows the current method's op array after
             // every frame change (`enter!`/`ret!` reassign `cur_code` and
@@ -1967,23 +1960,26 @@ impl<'i> TMachine<'i> {
                     // `pc += 1` from a non-sentinel op lands at most on the
                     // sentinel, which returns before the next fetch.
                     let cur_op = unsafe { ops.get_unchecked(pc) };
+                    if PROFILED {
+                        cursor = cur_code.micro_at[pc] as usize;
+                    }
                     match cur_op {
                         Op::ConstVal(v) => {
-                            pro!();
+                            tick!();
                             push!(*v);
                         }
                         Op::Load(s) => {
-                            pro!();
+                            tick!();
                             let v = self.regs.get(base + *s as usize);
                             push!(v);
                         }
                         Op::Store(s) => {
-                            pro!();
+                            tick!();
                             let v = pop!();
                             self.regs.set(base + *s as usize, v);
                         }
                         Op::GetField(fi) => {
-                            pro!();
+                            tick!();
                             let obj = pop!();
                             match obj.tag {
                                 Tag::Null => return Err(ExecError::NullReference),
@@ -2011,7 +2007,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::PutField(fi) => {
-                            pro!();
+                            tick!();
                             let value = pop!();
                             let obj = pop!();
                             match obj.tag {
@@ -2040,51 +2036,51 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::GetStatic(si) => {
-                            pro!();
+                            tick!();
                             let v = self.statics.get(*si as usize);
                             push!(v);
                         }
                         Op::PutStatic(si) => {
-                            pro!();
+                            tick!();
                             let v = pop!();
                             self.statics.set(*si as usize, v);
                         }
                         Op::Arith(op) => {
-                            pro!();
+                            tick!();
                             let b = pop!();
                             let a = pop!();
                             push!(slot::arith(*op, a, b)?);
                         }
                         Op::ArithII(op) => {
-                            pro!();
+                            tick!();
                             let b = pop!();
                             let a = pop!();
                             push!(slot_arith!(*op, true, a, b)?);
                         }
                         Op::Cmp(op) => {
-                            pro!();
+                            tick!();
                             let b = pop!();
                             let a = pop!();
                             push!(slot::compare(*op, a, b)?);
                         }
                         Op::CmpII(op) => {
-                            pro!();
+                            tick!();
                             let b = pop!();
                             let a = pop!();
                             push!(slot_cmp!(*op, true, a, b)?);
                         }
                         Op::Neg => {
-                            pro!();
+                            tick!();
                             let v = pop!();
                             push!(slot::negate(v)?);
                         }
                         Op::Not => {
-                            pro!();
+                            tick!();
                             let v = pop!();
                             push!(slot::boolean_not(v)?);
                         }
                         Op::Jump { target, backedge } => {
-                            pro!();
+                            tick!();
                             if *backedge {
                                 self.profile.backedges[cur_mid] += 1;
                             }
@@ -2092,7 +2088,7 @@ impl<'i> TMachine<'i> {
                             continue;
                         }
                         Op::JumpIfFalse(target) => {
-                            pro!();
+                            tick!();
                             let v = pop!();
                             if v.tag != Tag::Bool {
                                 return Err(ExecError::TypeMismatch("branch on non-boolean"));
@@ -2103,7 +2099,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::Invoke(ci) => {
-                            pro!();
+                            tick!();
                             let info = &cur_code.tables.calls[*ci as usize];
                             let argn = info.argc as usize;
                             if sp - floor < argn {
@@ -2131,7 +2127,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::InvokeVirtual(vi) => {
-                            pro!();
+                            tick!();
                             let vc = &cur_code.tables.vcalls[*vi as usize];
                             let argn = vc.argc as usize;
                             if sp - floor < argn + 1 {
@@ -2157,7 +2153,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::InvokeReflect(ri) => {
-                            pro!();
+                            tick!();
                             self.stats.reflective_calls += 1;
                             let rc = &cur_code.tables.rcalls[*ri as usize];
                             let argn = rc.argc as usize;
@@ -2183,7 +2179,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::New(cid) => {
-                            pro!();
+                            tick!();
                             self.stats.allocations += 1;
                             let defaults = self.image.classes[*cid as usize].field_defaults();
                             let oid = self.heap.alloc(*cid as usize, defaults);
@@ -2193,7 +2189,7 @@ impl<'i> TMachine<'i> {
                             });
                         }
                         Op::BoxInt => {
-                            pro!();
+                            tick!();
                             self.stats.boxes += 1;
                             let v = pop!();
                             match v.tag {
@@ -2205,7 +2201,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::UnboxInt => {
-                            pro!();
+                            tick!();
                             self.stats.unboxes += 1;
                             let v = pop!();
                             match v.tag {
@@ -2218,7 +2214,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::MonitorEnter => {
-                            pro!();
+                            tick!();
                             self.stats.monitor_enters += 1;
                             let v = pop!();
                             match v.tag {
@@ -2234,7 +2230,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::MonitorExit => {
-                            pro!();
+                            tick!();
                             self.stats.monitor_exits += 1;
                             let v = pop!();
                             match v.tag {
@@ -2253,17 +2249,17 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::Print => {
-                            pro!();
+                            tick!();
                             self.stats.prints += 1;
                             let v = pop!();
                             self.output.push(slot::unpack(v).to_string());
                         }
                         Op::Pop => {
-                            pro!();
+                            tick!();
                             let _ = pop!();
                         }
                         Op::Dup => {
-                            pro!();
+                            tick!();
                             if sp == floor {
                                 return Err(ExecError::VmCorrupt("operand stack underflow"));
                             }
@@ -2271,21 +2267,22 @@ impl<'i> TMachine<'i> {
                             push!(v);
                         }
                         Op::ReturnV => {
-                            pro!();
+                            tick!();
                             let v = pop!();
                             ret!('frame, v)
                         }
                         Op::Return => {
-                            pro!();
+                            tick!();
                             ret!('frame, NULL);
                         }
                         // ---- superinstructions ----
                         //
-                        // The prologue above accounted for the group's first
-                        // constituent instruction; `tick!` accounts each further
-                        // one, interleaved exactly where the unfused loop would
-                        // (tick, then execute), so fuel exhaustion, watchdog
-                        // polls, and error step counts are bit-identical.
+                        // Each arm accounts its whole width: `batched!` up
+                        // front, then one `mtick!` per constituent instruction,
+                        // interleaved exactly where the interpreter would (tick,
+                        // then execute), so fuel exhaustion, watchdog polls,
+                        // error step counts, and opcode attribution are
+                        // bit-identical.
                         Op::Push2 { a, b } => {
                             batched!(2, fast);
                             mtick!(fast);
@@ -2347,7 +2344,7 @@ impl<'i> TMachine<'i> {
                             } + sinkbit;
                             batched!(width, fast);
                             mtick!(fast);
-                            // Operand order mirrors the unfused sequence: `a`
+                            // Operand order mirrors the original sequence: `a`
                             // was fetched (or pushed) first. With a single fused
                             // fetch the stack holds `a` and the fetch is `b`.
                             let (av, bv) = match (a, b) {
@@ -2372,7 +2369,7 @@ impl<'i> TMachine<'i> {
                                 Ok(v) => v,
                                 Err(e) => {
                                     // Batched accounting overshot the sink micro
-                                    // the unfused loop never reaches.
+                                    // the interpreter never reaches.
                                     if fast {
                                         fuel += sinkbit;
                                         steps -= sinkbit;
@@ -2663,11 +2660,11 @@ impl<'i> TMachine<'i> {
                             continue;
                         }
                         Op::InlineCall(ix) => {
-                            // The `Invoke` micro (ticked by the prologue),
-                            // then the callee's straight-line body with
-                            // per-micro accounting — step-identical to the
-                            // real call, minus the frame push.
-                            pro!();
+                            // The `Invoke` micro, then the callee's
+                            // straight-line body with per-micro accounting —
+                            // step-identical to the real call, minus the
+                            // frame push.
+                            tick!();
                             let info = &cur_code.inlines[*ix as usize];
                             let argn = info.argc as usize;
                             let pops = argn + usize::from(info.recv);
@@ -2795,11 +2792,11 @@ impl<'i> TMachine<'i> {
                             push!(retv);
                         }
                         Op::Corrupt(kind) => {
-                            pro!();
+                            tick!();
                             return Err(ExecError::VmCorrupt(kind.msg()));
                         }
                         Op::HostPanic(what) => {
-                            pro!();
+                            tick!();
                             match what {
                                 BadRef::Method => panic!("invalid method id in hand-built code"),
                                 BadRef::Class => panic!("invalid class id in hand-built code"),
@@ -2989,38 +2986,79 @@ mod tests {
         }
     }
 
+    /// Renders a method's fused op array, one op per line.
+    fn dump_fused(image: &Image, mid: MethodId) -> Vec<String> {
+        let tc = fuse(image, mid, lower(image, mid));
+        tc.ops.iter().map(|op| format!("{op:?}")).collect()
+    }
+
+    /// Profiled runs execute the fused body and attribute every step to
+    /// its original opcode: for one source per superinstruction kind
+    /// (checked to fuse into that kind), and for an error inside a fused
+    /// group, the outcome and opcode table equal the interpreter's at
+    /// every fuel budget.
     #[test]
     fn profiler_attribution_matches_interp() {
-        let src = r#"
-            class T {
-                static int f(int i) { return i * 2; }
-                static void main() {
-                    int s = 0;
-                    for (int i = 0; i < 50; i++) { s = s + T.f(i); }
-                    System.out.println(s);
-                }
+        let cases = [
+            (
+                "IncLatch",
+                "class T { static void main() { int s = 0; for (int i = 0; i < 50; i++) { s = s + i; } System.out.println(s); } }",
+            ),
+            (
+                "JumpCmpBr",
+                "class T { static void main() { int i = 1; int d = 3; while (i < 90) { i = i + d; } System.out.println(i); } }",
+            ),
+            (
+                "Chain3",
+                "class T { static void main() { int a = 2; int b = 3; int c = 4; int x = a + b * c; System.out.println(x); } }",
+            ),
+            (
+                "GetFieldL",
+                "class T { int f; static void main() { T t = new T(); t.f = 7; System.out.println(t.f); } }",
+            ),
+            (
+                "InlineCall",
+                "class T { static int f(int i) { return i * 2; } static void main() { int s = 0; for (int i = 0; i < 50; i++) { s = s + T.f(i); } System.out.println(s); } }",
+            ),
+            (
+                "Bin { op: Div",
+                "class T { static void main() { int z = 0; int y = 5 / z; System.out.println(y); } }",
+            ),
+        ];
+        for (kind, src) in cases {
+            let image = Image::build(&mjava::parse(src).unwrap()).unwrap();
+            let fused = dump_fused(&image, image.main());
+            assert!(
+                fused.iter().any(|op| op.starts_with(kind)),
+                "no {kind} in {fused:#?}"
+            );
+            // Full fuel, then every budget that cuts the run short: a cut
+            // inside a fused op must credit exactly the micros that ran.
+            let steps = interp::run(&image, &ExecConfig::default()).stats.steps;
+            for fuel in (0..steps).chain([ExecConfig::default().fuel]) {
+                let config = ExecConfig {
+                    fuel,
+                    ..ExecConfig::default()
+                };
+                let runs = [true, false].map(|threaded| {
+                    jtelemetry::install(jtelemetry::Session::from_spec(jtelemetry::SessionSpec {
+                        manual: true,
+                        trace: false,
+                        profile: true,
+                    }));
+                    let o = if threaded {
+                        run(&image, &config)
+                    } else {
+                        interp::run(&image, &config)
+                    };
+                    let snap = jtelemetry::take().unwrap().snapshot();
+                    let total: u64 = snap.opcodes.iter().map(|op| op.hits).sum();
+                    assert_eq!(total, o.stats.steps, "{kind}: a step went unattributed");
+                    (o, snap.opcodes)
+                });
+                assert_eq!(runs[0], runs[1], "{kind}: diverged at fuel {fuel}");
             }
-        "#;
-        let image = Image::build(&mjava::parse(src).unwrap()).unwrap();
-        let mut snaps = Vec::new();
-        for threaded in [true, false] {
-            jtelemetry::install(jtelemetry::Session::from_spec(jtelemetry::SessionSpec {
-                manual: true,
-                trace: false,
-                profile: true,
-            }));
-            let o = if threaded {
-                run(&image, &ExecConfig::default())
-            } else {
-                interp::run(&image, &ExecConfig::default())
-            };
-            assert!(o.is_clean());
-            let snap = jtelemetry::take().unwrap().snapshot();
-            let total: u64 = snap.opcodes.iter().map(|op| op.hits).sum();
-            assert_eq!(total, o.stats.steps, "every step lands on one opcode");
-            snaps.push(snap.opcodes);
         }
-        assert_eq!(snaps[0], snaps[1], "per-opcode tables must be identical");
     }
 
     /// Serializes the tests that reset or compare entries of the

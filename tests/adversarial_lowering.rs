@@ -7,10 +7,12 @@
 //! leaf inlining raise the stakes: an error can now surface mid-way
 //! through a superinstruction or inside an inlined leaf body, and a fuel
 //! budget can cut execution at any of those interior points. Every case
-//! here is therefore swept across fuel budgets, not just run to the error.
+//! here is therefore swept across fuel budgets, not just run to the error,
+//! and every run is profiled: the `--profile` opcode table must match too.
 
 use jexec::code::{ArithOp, Code, Instr};
-use jexec::{interp, threaded, ExecConfig, ExecError, Image};
+use jexec::{interp, threaded, ExecConfig, ExecError, Image, Outcome};
+use jtelemetry::{OpcodeStat, Session, SessionSpec};
 
 /// Installs `instrs` as `main`'s body and checks both substrates agree on
 /// the outcome at full fuel *and* at every budget up to a few steps past
@@ -32,24 +34,43 @@ fn assert_adversarial_equivalent(instrs: Vec<Instr>, n_locals: u16, want: Option
     sweep(&image, want);
 }
 
-/// Runs both substrates at full fuel (asserting the expected error) and
-/// then at every fuel budget from 0 to just past the full run's steps.
+/// Runs `exec` under a manual-clock profiling session and returns its
+/// outcome with the opcode table it attributed, checking that every step
+/// landed on one opcode. The one exception is a pc-out-of-range fetch,
+/// which the interpreter counts as a step but attributes to no opcode.
+fn profiled(exec: impl FnOnce() -> Outcome) -> (Outcome, Vec<OpcodeStat>) {
+    jtelemetry::install(Session::from_spec(SessionSpec {
+        manual: true,
+        trace: false,
+        profile: true,
+    }));
+    let outcome = exec();
+    let opcodes = jtelemetry::take().unwrap().snapshot().opcodes;
+    let hits: u64 = opcodes.iter().map(|op| op.hits).sum();
+    let fetch_fault = outcome.error == Some(ExecError::VmCorrupt("pc out of range"));
+    assert_eq!(hits + u64::from(fetch_fault), outcome.stats.steps);
+    (outcome, opcodes)
+}
+
+/// Runs both substrates, profiled, at full fuel (asserting the expected
+/// error) and then at every fuel budget from 0 to just past the full
+/// run's steps.
 fn sweep(image: &Image, want: Option<ExecError>) {
     let config = ExecConfig::default();
-    let threaded = threaded::run(image, &config);
-    let interp = interp::run(image, &config);
+    let threaded = profiled(|| threaded::run(image, &config));
+    let interp = profiled(|| interp::run(image, &config));
     if let Some(want) = &want {
-        assert_eq!(threaded.error.as_ref(), Some(want), "unexpected error");
+        assert_eq!(threaded.0.error.as_ref(), Some(want), "unexpected error");
     }
     assert_eq!(threaded, interp, "full-fuel outcomes diverged");
-    let horizon = interp.stats.steps + 3;
+    let horizon = interp.0.stats.steps + 3;
     for fuel in 0..=horizon {
         let config = ExecConfig {
             fuel,
             ..ExecConfig::default()
         };
-        let threaded = threaded::run(image, &config);
-        let interp = interp::run(image, &config);
+        let threaded = profiled(|| threaded::run(image, &config));
+        let interp = profiled(|| interp::run(image, &config));
         assert_eq!(threaded, interp, "diverged at fuel {fuel}");
     }
 }

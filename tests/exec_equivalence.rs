@@ -50,6 +50,26 @@ fn config_with_mode(mode: ExecMode) -> ExecConfig {
     }
 }
 
+/// Runs `program` under a manual-clock profiling session and returns its
+/// outcome with the `--profile` opcode table it attributed, checking that
+/// every step landed on one opcode (generated programs never fetch past
+/// the end of a body, the one step the interpreter leaves unattributed).
+fn run_profiled(
+    program: &mjava::ast::Program,
+    config: &ExecConfig,
+) -> (jexec::Outcome, Vec<jtelemetry::OpcodeStat>) {
+    jtelemetry::install(jtelemetry::Session::from_spec(jtelemetry::SessionSpec {
+        manual: true,
+        trace: false,
+        profile: true,
+    }));
+    let outcome = jexec::run_program(program, config).expect("generated program builds");
+    let opcodes = jtelemetry::take().unwrap().snapshot().opcodes;
+    let hits: u64 = opcodes.iter().map(|op| op.hits).sum();
+    assert_eq!(hits, outcome.stats.steps, "every step lands on one opcode");
+    (outcome, opcodes)
+}
+
 /// Both substrates reproduce the committed golden journals byte for
 /// byte. This is the end-to-end form of the invariant: the whole
 /// campaign pipeline (mutation, optimization, the 8-JVM differential
@@ -179,25 +199,15 @@ proptest! {
     fn generated_programs_agree_across_substrates(gen_seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(gen_seed);
         let program = mopfuzzer::corpus::generate(&mut rng, gen_seed as usize % 1000);
-        let mut runs = Vec::new();
-        for mode in [ExecMode::Interp, ExecMode::Threaded] {
-            jtelemetry::install(jtelemetry::Session::from_spec(jtelemetry::SessionSpec {
-                manual: true,
-                trace: false,
-                profile: true,
-            }));
-            let outcome = jexec::run_program(&program, &config_with_mode(mode))
-                .expect("generated program builds");
-            let opcodes = jtelemetry::take().unwrap().snapshot().opcodes;
-            runs.push((outcome, opcodes));
-        }
+        let runs = [ExecMode::Interp, ExecMode::Threaded]
+            .map(|mode| run_profiled(&program, &config_with_mode(mode)));
         prop_assert_eq!(&runs[0].0, &runs[1].0, "outcomes diverged");
         prop_assert_eq!(&runs[0].1, &runs[1].1, "opcode tables diverged");
     }
 
     /// Fuel exhaustion is step-exact: at any fuel budget both substrates
     /// stop on the same instruction with the same partial output, stats,
-    /// and profile.
+    /// profile, and opcode table.
     #[test]
     fn fuel_exhaustion_is_step_exact_across_substrates(
         gen_seed in any::<u64>(),
@@ -205,18 +215,13 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(gen_seed);
         let program = mopfuzzer::corpus::generate(&mut rng, gen_seed as usize % 1000);
-        let mut outcomes = Vec::new();
-        for mode in [ExecMode::Interp, ExecMode::Threaded] {
-            let config = ExecConfig { fuel, ..config_with_mode(mode) };
-            outcomes.push(
-                jexec::run_program(&program, &config).expect("generated program builds"),
-            );
-        }
-        prop_assert_eq!(&outcomes[0], &outcomes[1]);
+        let runs = [ExecMode::Interp, ExecMode::Threaded]
+            .map(|mode| run_profiled(&program, &ExecConfig { fuel, ..config_with_mode(mode) }));
+        prop_assert_eq!(&runs[0], &runs[1]);
         // When the budget is short enough to bite, both report it.
-        if let Some(err) = &outcomes[0].error {
+        if let Some(err) = &runs[0].0.error {
             prop_assert_eq!(err, &jexec::ExecError::OutOfFuel);
-            prop_assert_eq!(outcomes[0].stats.steps, fuel, "steps stop exactly at the budget");
+            prop_assert_eq!(runs[0].0.stats.steps, fuel, "steps stop exactly at the budget");
         }
     }
 }
@@ -418,34 +423,19 @@ proptest! {
         let src = prog.render();
         let program = mjava::parse(&src)
             .unwrap_or_else(|e| panic!("generator emitted invalid source: {e:?}\n{src}"));
-        let mut runs = Vec::new();
-        for mode in [ExecMode::Interp, ExecMode::Threaded] {
-            jtelemetry::install(jtelemetry::Session::from_spec(jtelemetry::SessionSpec {
-                manual: true,
-                trace: false,
-                profile: true,
-            }));
-            let outcome = jexec::run_program(&program, &config_with_mode(mode))
-                .expect("generated program builds");
-            let opcodes = jtelemetry::take().unwrap().snapshot().opcodes;
-            runs.push((outcome, opcodes));
-        }
+        let runs = [ExecMode::Interp, ExecMode::Threaded]
+            .map(|mode| run_profiled(&program, &config_with_mode(mode)));
         prop_assert_eq!(&runs[0].0, &runs[1].0, "outcomes diverged on:\n{}", src);
         prop_assert_eq!(&runs[0].1, &runs[1].1, "opcode tables diverged on:\n{}", src);
         // Step-index equality: truncate fuel at awkward cut points. Every
         // budget must stop both substrates on the same step with the same
-        // partial output.
+        // partial output and opcode table.
         let total = runs[0].0.stats.steps;
         for fuel in [1, 2, total / 3, total / 2, total.saturating_sub(1)] {
-            let mut outcomes = Vec::new();
-            for mode in [ExecMode::Interp, ExecMode::Threaded] {
-                let config = ExecConfig { fuel, ..config_with_mode(mode) };
-                outcomes.push(
-                    jexec::run_program(&program, &config).expect("generated program builds"),
-                );
-            }
+            let cut = [ExecMode::Interp, ExecMode::Threaded]
+                .map(|mode| run_profiled(&program, &ExecConfig { fuel, ..config_with_mode(mode) }));
             prop_assert_eq!(
-                &outcomes[0], &outcomes[1],
+                &cut[0], &cut[1],
                 "diverged at fuel {} on:\n{}", fuel, src
             );
         }
