@@ -24,7 +24,7 @@ pub struct FieldLayout {
 }
 
 /// The loaded form of one class.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassImage {
     /// Class name.
     pub name: String,
@@ -53,8 +53,12 @@ impl ClassImage {
     }
 }
 
-/// The loaded form of one method.
-#[derive(Debug, Clone)]
+/// The loaded form of one method: its signature and installed code. The
+/// source AST is not kept — the JIT tier reads it from the program — so
+/// cloning an image per JVM copies only bytecode, and image equality
+/// (which the run memo behind [`crate::run`] relies on) compares only
+/// what execution reads.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodImage {
     /// Owning class.
     pub class: ClassId,
@@ -71,10 +75,6 @@ pub struct MethodImage {
     /// Currently installed executable code (interpreter tier at load time;
     /// the JIT tier replaces this).
     pub code: Code,
-    /// The source AST, retained for the JIT.
-    pub source: mjava::Method,
-    /// True once JIT-compiled code has been installed.
-    pub is_compiled: bool,
     /// Fingerprint of the currently installed [`Code`], kept in sync by
     /// [`Image::build`] and [`Image::install_code`]. Together with the
     /// image's [`Image::shape_fp`] it keys the threaded-substrate code
@@ -83,7 +83,7 @@ pub struct MethodImage {
 }
 
 /// A fully resolved, executable program image.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Image {
     /// Classes; the index is the [`ClassId`].
     pub classes: Vec<ClassImage>,
@@ -187,8 +187,6 @@ impl Image {
                     params: method.params.iter().map(|p| p.ty.clone()).collect(),
                     ret: method.ret.clone(),
                     code: Code::default(),
-                    source: method.clone(),
-                    is_compiled: false,
                     code_fp: 0,
                 });
             }
@@ -217,11 +215,11 @@ impl Image {
         };
         image.shape_fp = image.compute_shape_fp();
 
-        // Pass 2: compile every body against the resolved skeletons.
-        for mid in 0..image.methods.len() {
-            let source = image.methods[mid].source.clone();
-            let class = image.methods[mid].class;
-            let code = compile_method_ast(&image, class, &source)?;
+        // Pass 2: compile every body against the resolved skeletons. Pass 1
+        // numbered the methods in this same order.
+        let sources = program.classes.iter().flat_map(|c| &c.methods);
+        for (mid, source) in sources.enumerate() {
+            let code = compile_method_ast(&image, image.methods[mid].class, source)?;
             image.methods[mid].code_fp = code_fingerprint(&code);
             image.methods[mid].code = code;
         }
@@ -295,7 +293,6 @@ impl Image {
     pub fn install_code(&mut self, method: MethodId, code: Code) {
         self.methods[method].code_fp = code_fingerprint(&code);
         self.methods[method].code = code;
-        self.methods[method].is_compiled = true;
     }
 
     /// Initial static field values, per class, for interpreter start-up.
@@ -422,13 +419,6 @@ pub fn code_fingerprint(code: &Code) -> u64 {
     h.0
 }
 
-impl PartialEq for Image {
-    fn eq(&self, other: &Self) -> bool {
-        // Structural equality over names is enough for tests.
-        self.class_index == other.class_index && self.main == other.main
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,15 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn install_code_marks_compiled() {
-        let mut image = build("class T { static void main() { } }").unwrap();
-        assert!(!image.methods[0].is_compiled);
-        let code = image.methods[0].code.clone();
-        image.install_code(0, code);
-        assert!(image.methods[0].is_compiled);
-    }
-
-    #[test]
     fn fingerprints_are_stable_and_content_sensitive() {
         let src = "class T { int f; static void main() { } int g(int a) { return a + f; } }";
         let a = build(src).unwrap();
@@ -505,26 +486,56 @@ mod tests {
     }
 
     #[test]
-    fn install_code_refreshes_fingerprint() {
+    fn install_code_replaces_code_and_fingerprint() {
         let mut image = build("class T { static void main() { } }").unwrap();
-        let before = image.methods[0].code_fp;
-        image.install_code(
-            0,
-            Code {
-                instrs: vec![
-                    crate::code::Instr::ConstI(7),
-                    crate::code::Instr::Print,
-                    crate::code::Instr::Return,
-                ],
-                n_locals: 0,
-                max_stack: 1,
-            },
-        );
-        assert_ne!(image.methods[0].code_fp, before);
+        let before = image.methods[0].clone();
+        let body = Code {
+            instrs: vec![
+                crate::code::Instr::ConstI(7),
+                crate::code::Instr::Print,
+                crate::code::Instr::Return,
+            ],
+            n_locals: 0,
+            max_stack: 1,
+        };
+        image.install_code(0, body.clone());
+        assert_eq!(image.methods[0].code, body);
+        assert_ne!(image.methods[0].code, before.code);
+        assert_ne!(image.methods[0].code_fp, before.code_fp);
         assert_eq!(
             image.methods[0].code_fp,
             code_fingerprint(&image.methods[0].code)
         );
+    }
+
+    /// Equality covers everything a run reads: an image differing from
+    /// another in one installed body, one static initializer, or one
+    /// instance field compares unequal, while a separate build of the
+    /// same source compares equal.
+    #[test]
+    fn equality_covers_code_statics_and_fields() {
+        let src = "class T { int f; static int s = 4; static void main() { } }";
+        let base = build(src).unwrap();
+        assert_eq!(base, build(src).unwrap());
+        let mut installed = base.clone();
+        installed.install_code(
+            base.main(),
+            Code {
+                instrs: vec![crate::code::Instr::Return],
+                n_locals: 1,
+                max_stack: 0,
+            },
+        );
+        let statics = build("class T { int f; static int s = 5; static void main() { } }").unwrap();
+        let field = build("class T { long f; static int s = 4; static void main() { } }").unwrap();
+        for (what, other) in [
+            ("installed body", installed),
+            ("static initializer", statics),
+            ("instance field", field),
+        ] {
+            assert_eq!(other.shape_fp(), base.shape_fp(), "{what}: same shape");
+            assert_ne!(other, base, "{what}: must compare unequal");
+        }
     }
 
     #[test]

@@ -206,8 +206,8 @@ pub(crate) fn opcode_index(instr: &Instr) -> usize {
 /// clock read, and under a manual clock the deltas are all zero, so the
 /// per-opcode hit counts stay bit-identical across worker counts.
 pub(crate) struct OpcodeProfiler {
-    hits: [u64; OPCODE_COUNT],
-    nanos: [u64; OPCODE_COUNT],
+    pub(crate) hits: [u64; OPCODE_COUNT],
+    pub(crate) nanos: [u64; OPCODE_COUNT],
     last_sample: u64,
 }
 
@@ -229,14 +229,6 @@ impl OpcodeProfiler {
             let now = jtelemetry::now_nanos();
             self.nanos[opcode] += now.saturating_sub(self.last_sample);
             self.last_sample = now;
-        }
-    }
-
-    pub(crate) fn flush(&self) {
-        for (i, &name) in OPCODE_NAMES.iter().enumerate() {
-            if self.hits[i] > 0 {
-                jtelemetry::profile_opcode(name, self.hits[i], self.nanos[i]);
-            }
         }
     }
 }
@@ -274,7 +266,8 @@ impl Outcome {
     }
 }
 
-/// Executes `image` from its `main` method on the interpreter substrate.
+/// Executes `image` from its `main` method on the interpreter substrate,
+/// bypassing the run memo of [`crate::run`].
 ///
 /// This is the reference implementation of execution semantics; the
 /// threaded substrate ([`crate::threaded::run`]) must match it bit for bit.
@@ -292,7 +285,16 @@ impl Outcome {
 /// # Ok::<(), jexec::BuildError>(())
 /// ```
 pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
-    let _trace = jtelemetry::trace_span("interp_run", Vec::new);
+    crate::memo::bypass(ExecMode::Interp, image, config)
+}
+
+/// The interpreter proper: runs `image` with `profiler` attached (if any)
+/// and hands the profiler back. Emits no telemetry; see [`crate::memo`].
+pub(crate) fn execute(
+    image: &Image,
+    config: &ExecConfig,
+    profiler: Option<OpcodeProfiler>,
+) -> (Outcome, Option<OpcodeProfiler>) {
     let mut machine = Machine {
         image,
         config,
@@ -305,7 +307,7 @@ pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
             backedges: vec![0; image.methods.len()],
         },
         output: Vec::new(),
-        profiler: jtelemetry::profiling().then(OpcodeProfiler::new),
+        profiler,
     };
     // Class lock objects occupy ids 0..n_classes, so `ClassObj(c)` is
     // `Ref(c)`.
@@ -324,17 +326,13 @@ pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
             }
         }
     }
-    jtelemetry::count(jtelemetry::Counter::InterpRuns, 1);
-    jtelemetry::count(jtelemetry::Counter::InterpSteps, machine.stats.steps);
-    if let Some(profiler) = &machine.profiler {
-        profiler.flush();
-    }
-    Outcome {
+    let outcome = Outcome {
         output: machine.output,
         error,
         stats: machine.stats,
         profile: machine.profile,
-    }
+    };
+    (outcome, machine.profiler)
 }
 
 /// Builds and runs a program in one step, dispatching on `config.mode`.

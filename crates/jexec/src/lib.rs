@@ -37,6 +37,7 @@ pub mod compile;
 pub mod error;
 pub mod image;
 pub mod interp;
+mod memo;
 pub mod ops;
 mod slot;
 pub mod threaded;
@@ -55,9 +56,10 @@ pub use value::{ClassId, Heap, ObjId, Object, Value};
 /// Executes `image` from its `main` method on the substrate selected by
 /// `config.mode`. Both substrates are bit-for-bit equivalent (enforced by
 /// `tests/exec_equivalence.rs`); [`ExecMode::Threaded`] is the fast path.
+///
+/// Each thread remembers its last 16 runs: running an image equal to a
+/// remembered one under an equal config (checked by full equality, not
+/// by hash) returns that run's outcome and replays its telemetry.
 pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
-    match config.mode {
-        ExecMode::Interp => interp::run(image, config),
-        ExecMode::Threaded => threaded::run(image, config),
-    }
+    memo::run(image, config)
 }

@@ -425,6 +425,11 @@ pub fn cache_reset() {
     CACHE_MISSES.store(0, Ordering::Relaxed);
 }
 
+/// Serializes the unit tests that reset the process-wide code cache or
+/// read its statistics, which the test harness shares across threads.
+#[cfg(test)]
+pub(crate) static CACHE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Live statistics of the process-wide cache.
 pub fn cache_stats() -> CacheStats {
     CacheStats {
@@ -1629,13 +1634,24 @@ struct TMachine<'i> {
     lowered: Vec<Option<Arc<ThreadedCode>>>,
 }
 
-/// Executes `image` from its `main` method on the threaded substrate.
+/// Executes `image` from its `main` method on the threaded substrate,
+/// bypassing the run memo of [`crate::run`].
 ///
-/// Observably identical to [`crate::interp::run`] — including telemetry:
-/// the same `interp_run` trace span and `InterpRuns`/`InterpSteps`
-/// counters, so traced journals are byte-identical across exec modes.
+/// Observably identical to [`crate::interp::run`] — outcome, fuel and
+/// cancellation behaviour, and telemetry (both emit theirs through
+/// `memo`) — so journals and traces are byte-identical across
+/// exec modes. `config.mode` is ignored here.
 pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
-    let _trace = jtelemetry::trace_span("interp_run", Vec::new);
+    crate::memo::bypass(crate::ExecMode::Threaded, image, config)
+}
+
+/// The threaded substrate proper: runs `image` with `profiler` attached
+/// (if any) and hands the profiler back. Emits no telemetry.
+pub(crate) fn execute(
+    image: &Image,
+    config: &ExecConfig,
+    profiler: Option<OpcodeProfiler>,
+) -> (Outcome, Option<OpcodeProfiler>) {
     let mut statics = RegFile::default();
     for class in &image.classes {
         for f in &class.static_fields {
@@ -1655,7 +1671,7 @@ pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
             backedges: vec![0; image.methods.len()],
         },
         output: Vec::new(),
-        profiler: jtelemetry::profiling().then(OpcodeProfiler::new),
+        profiler,
         lowered: vec![None; image.methods.len()],
     };
     // Class lock objects occupy ids 0..n_classes, so `ClassObj(c)` is
@@ -1675,17 +1691,13 @@ pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
             }
         }
     }
-    jtelemetry::count(jtelemetry::Counter::InterpRuns, 1);
-    jtelemetry::count(jtelemetry::Counter::InterpSteps, machine.stats.steps);
-    if let Some(profiler) = &machine.profiler {
-        profiler.flush();
-    }
-    Outcome {
+    let outcome = Outcome {
         output: machine.output,
         error,
         stats: machine.stats,
         profile: machine.profile,
-    }
+    };
+    (outcome, machine.profiler)
 }
 
 impl<'i> TMachine<'i> {
@@ -3060,10 +3072,6 @@ mod tests {
             }
         }
     }
-
-    /// Serializes the tests that reset or compare entries of the
-    /// process-wide code cache, which the test harness shares across threads.
-    static CACHE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn code_cache_shares_lowering_across_runs() {
