@@ -410,6 +410,32 @@ fn metrics_out_writes_valid_snapshots_and_prometheus() {
     jtelemetry::schema::validate_prometheus(&prom).expect("prometheus page valid");
     assert!(prom.contains("mop_rounds_ok 3"), "{prom}");
 
+    // The report lists every span the campaign recorded — every optimizer
+    // phase among them — not only the largest few.
+    let recorded: Vec<&str> = prom
+        .lines()
+        .filter_map(|l| l.strip_prefix("mop_span_self_nanos{span=\""))
+        .filter_map(|l| l.split('"').next())
+        .collect();
+    for phase in jopt::PhaseId::DEFAULT_ORDER {
+        assert!(
+            recorded.contains(&phase.name()),
+            "{phase:?} not recorded: {prom}"
+        );
+    }
+    let report = stdout
+        .split("top phases by time:\n")
+        .nth(1)
+        .expect("report section");
+    for span in recorded {
+        assert!(
+            report
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(span)),
+            "span {span} missing from the report:\n{stdout}"
+        );
+    }
+
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -35,6 +35,10 @@
 //! assert!(out.log.iter().any(|line| line.starts_with("Unroll")));
 //! ```
 
+// Hash-set and hash-map iteration order is seeded per instance: iterating
+// one into an event, a name or a rewrite makes output vary between runs.
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod analysis;
 pub mod event;
 pub mod phases;

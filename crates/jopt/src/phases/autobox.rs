@@ -17,22 +17,23 @@ pub fn run(method: &mut Method, cx: &mut OptCx) {
 /// `Integer.valueOf(b.intValue())` → `b`.
 fn roundtrip_elimination(block: &mut Block, cx: &mut OptCx) {
     map_exprs_in_block(block, &mut |e| {
-        let replacement = match e {
-            Expr::UnboxInt(inner) => match inner.as_ref() {
-                Expr::BoxInt(v) => Some(v.as_ref().clone()),
-                _ => None,
-            },
-            Expr::BoxInt(inner) => match inner.as_ref() {
-                Expr::UnboxInt(v) => Some(v.as_ref().clone()),
-                _ => None,
-            },
-            _ => None,
+        let roundtrip = match e {
+            Expr::UnboxInt(inner) => matches!(inner.as_ref(), Expr::BoxInt(_)),
+            Expr::BoxInt(inner) => matches!(inner.as_ref(), Expr::UnboxInt(_)),
+            _ => false,
         };
-        if let Some(r) = replacement {
-            cx.cover(0);
-            cx.emit(OptEventKind::AutoboxEliminate, mjava::print_expr(e));
-            *e = r;
+        if !roundtrip {
+            return;
         }
+        cx.cover(0);
+        cx.emit(OptEventKind::AutoboxEliminate, mjava::print_expr(e));
+        let (Expr::UnboxInt(inner) | Expr::BoxInt(inner)) = e else {
+            unreachable!("checked above")
+        };
+        let (Expr::BoxInt(operand) | Expr::UnboxInt(operand)) = inner.as_mut() else {
+            unreachable!("checked above")
+        };
+        *e = std::mem::replace(operand.as_mut(), Expr::Null);
     });
 }
 
@@ -41,17 +42,20 @@ fn roundtrip_elimination(block: &mut Block, cx: &mut OptCx) {
 /// reassigned. Nullness is unaffected: `b` is initialized from a fresh box.
 fn local_unboxing(method: &mut Method, cx: &mut OptCx) {
     // Find candidates: Integer locals declared once with a BoxInt init.
-    let mut decl_count: HashMap<String, usize> = HashMap::new();
+    let mut decl_count: HashMap<&str, usize> = HashMap::new();
     collect_integer_decls(&method.body, &mut decl_count);
-    let reassigned = crate::analysis::assigned_vars(&method.body);
-
-    let mut candidates: Vec<String> = decl_count
+    let mut candidates: Vec<&str> = decl_count
         .iter()
         .filter(|(_, &c)| c == 1)
-        .map(|(n, _)| n.clone())
-        .filter(|n| !reassigned.contains(n))
+        .map(|(n, _)| *n)
         .collect();
-    candidates.sort();
+    if candidates.is_empty() {
+        return;
+    }
+    let reassigned = crate::analysis::assigned_vars(&method.body);
+    candidates.retain(|n| !reassigned.contains(n));
+    candidates.sort_unstable();
+    let candidates: Vec<String> = candidates.into_iter().map(str::to_string).collect();
 
     for var in candidates {
         // Every occurrence must be inside `var.intValue()`.
@@ -77,23 +81,23 @@ fn local_unboxing(method: &mut Method, cx: &mut OptCx) {
         map_exprs_in_block(&mut method.body, &mut |e| {
             if let Expr::UnboxInt(inner) = e {
                 if matches!(inner.as_ref(), Expr::Var(v) if *v == var) {
-                    *e = Expr::var(var.clone());
+                    *e = std::mem::replace(inner.as_mut(), Expr::Null);
                 }
             }
         });
     }
 }
 
-fn collect_integer_decls(block: &Block, out: &mut HashMap<String, usize>) {
+fn collect_integer_decls<'a>(block: &'a Block, out: &mut HashMap<&'a str, usize>) {
     for stmt in &block.0 {
         match stmt {
             Stmt::Decl {
                 name,
                 ty: Type::Integer,
                 init: Some(Expr::BoxInt(_)),
-            } => *out.entry(name.clone()).or_insert(0) += 1,
+            } => *out.entry(name).or_insert(0) += 1,
             // A second declaration of the same name (any type) disqualifies.
-            Stmt::Decl { name, .. } => *out.entry(name.clone()).or_insert(0) += 2,
+            Stmt::Decl { name, .. } => *out.entry(name).or_insert(0) += 2,
             Stmt::If { then_b, else_b, .. } => {
                 collect_integer_decls(then_b, out);
                 if let Some(e) = else_b {
@@ -116,8 +120,7 @@ fn retype_decl(block: &mut Block, var: &str) {
             Stmt::Decl { name, ty, init } if name == var => {
                 if let Some(Expr::BoxInt(inner)) = init {
                     *ty = Type::Int;
-                    let unboxed = inner.as_ref().clone();
-                    *init = Some(unboxed);
+                    *init = Some(std::mem::replace(inner.as_mut(), Expr::Null));
                 }
                 return;
             }

@@ -25,32 +25,32 @@ fn structural_dce(block: &mut Block, cx: &mut OptCx) {
             cx.emit(OptEventKind::DceRemove, format!("{removed}"));
             break;
         }
-        let replacement: Option<Vec<Stmt>> = match &block.0[i] {
+        let constant = matches!(
+            block.0[i],
             Stmt::If {
-                cond: Expr::Bool(true),
-                then_b,
+                cond: Expr::Bool(_),
                 ..
-            } => Some(vec![Stmt::Block(then_b.clone())]),
-            Stmt::If {
-                cond: Expr::Bool(false),
-                else_b,
-                ..
-            } => Some(match else_b {
-                Some(e) => vec![Stmt::Block(e.clone())],
-                None => vec![],
-            }),
-            Stmt::While {
+            } | Stmt::While {
                 cond: Expr::Bool(false),
                 ..
-            } => Some(vec![]),
-            _ => None,
-        };
-        if let Some(replacement) = replacement {
+            }
+        );
+        if constant {
             cx.cover(1);
             cx.emit(OptEventKind::DceRemove, "1");
-            let n = replacement.len();
-            block.0.splice(i..=i, replacement);
-            i += n;
+            let kept = match block.0.remove(i) {
+                Stmt::If {
+                    cond: Expr::Bool(true),
+                    then_b,
+                    ..
+                } => Some(then_b),
+                Stmt::If { else_b, .. } => else_b,
+                _ => None,
+            };
+            if let Some(b) = kept {
+                block.0.insert(i, Stmt::Block(b));
+                i += 1;
+            }
             continue;
         }
         match &mut block.0[i] {
@@ -75,21 +75,20 @@ fn structural_dce(block: &mut Block, cx: &mut OptCx) {
 fn dead_local_elimination(method: &mut Method, cx: &mut OptCx) {
     // A local is removable when it is declared exactly once, never read,
     // and is not a parameter.
-    let mut decls: HashMap<String, usize> = HashMap::new();
+    let mut decls: HashMap<&str, usize> = HashMap::new();
     count_decls(&method.body, &mut decls);
-    let params: HashSet<&String> = method.params.iter().map(|p| &p.name).collect();
-    let mut reads: HashMap<String, usize> = HashMap::new();
+    let mut reads: HashSet<&str> = HashSet::new();
     crate::analysis::map_exprs_in_block_ref(&method.body, &mut |e| {
         if let Expr::Var(v) = e {
-            *reads.entry(v.clone()).or_insert(0) += 1;
+            reads.insert(v);
         }
     });
     let dead: HashSet<String> = decls
-        .iter()
-        .filter(|(name, &count)| {
-            count == 1 && !params.contains(name) && reads.get(*name).copied().unwrap_or(0) == 0
+        .into_iter()
+        .filter(|&(name, count)| {
+            count == 1 && !reads.contains(name) && !method.params.iter().any(|p| p.name == name)
         })
-        .map(|(name, _)| name.clone())
+        .map(|(name, _)| name.to_string())
         .collect();
     if dead.is_empty() {
         return;
@@ -98,10 +97,10 @@ fn dead_local_elimination(method: &mut Method, cx: &mut OptCx) {
     remove_dead_writes(&mut method.body, &dead, cx);
 }
 
-fn count_decls(block: &Block, out: &mut HashMap<String, usize>) {
+fn count_decls<'a>(block: &'a Block, out: &mut HashMap<&'a str, usize>) {
     for stmt in &block.0 {
         match stmt {
-            Stmt::Decl { name, .. } => *out.entry(name.clone()).or_insert(0) += 1,
+            Stmt::Decl { name, .. } => *out.entry(name).or_insert(0) += 1,
             Stmt::If { then_b, else_b, .. } => {
                 count_decls(then_b, out);
                 if let Some(e) = else_b {
@@ -110,10 +109,8 @@ fn count_decls(block: &Block, out: &mut HashMap<String, usize>) {
             }
             Stmt::While { body, .. } | Stmt::Sync { body, .. } => count_decls(body, out),
             Stmt::For { init, body, .. } => {
-                if let Some(i) = init {
-                    if let Stmt::Decl { name, .. } = i.as_ref() {
-                        *out.entry(name.clone()).or_insert(0) += 1;
-                    }
+                if let Some(Stmt::Decl { name, .. }) = init.as_deref() {
+                    *out.entry(name).or_insert(0) += 1;
                 }
                 count_decls(body, out);
             }
@@ -126,27 +123,26 @@ fn count_decls(block: &Block, out: &mut HashMap<String, usize>) {
 fn remove_dead_writes(block: &mut Block, dead: &HashSet<String>, cx: &mut OptCx) {
     let mut i = 0;
     while i < block.0.len() {
-        let replacement: Option<Vec<Stmt>> = match &block.0[i] {
-            Stmt::Decl { name, init, .. } if dead.contains(name) => Some(match init {
-                Some(e) if !expr_is_pure(e) => vec![Stmt::Expr(e.clone())],
-                _ => vec![],
-            }),
-            Stmt::Assign {
+        let dead_write = match &block.0[i] {
+            Stmt::Decl { name, .. }
+            | Stmt::Assign {
                 target: LValue::Var(name),
-                value,
-            } if dead.contains(name) => Some(if expr_is_pure(value) {
-                vec![]
-            } else {
-                vec![Stmt::Expr(value.clone())]
-            }),
-            _ => None,
+                ..
+            } => dead.contains(name),
+            _ => false,
         };
-        if let Some(replacement) = replacement {
+        if dead_write {
             cx.cover(11);
             cx.emit(OptEventKind::DceRemove, "1");
-            let n = replacement.len();
-            block.0.splice(i..=i, replacement);
-            i += n;
+            let value = match block.0.remove(i) {
+                Stmt::Decl { init, .. } => init,
+                Stmt::Assign { value, .. } => Some(value),
+                _ => unreachable!("matched above"),
+            };
+            if let Some(e) = value.filter(|e| !expr_is_pure(e)) {
+                block.0.insert(i, Stmt::Expr(e));
+                i += 1;
+            }
             continue;
         }
         match &mut block.0[i] {

@@ -33,15 +33,17 @@ pub fn run(method: &mut Method, cx: &mut OptCx) {
                 (None, true) | (Some(_), false) => {}
                 _ => return,
             }
-            let call_target = match &r.receiver {
-                Some(recv) => CallTarget::Instance(recv.clone()),
-                None => CallTarget::Static(r.class.clone()),
-            };
             rewrites.push((r.class.clone(), r.method.clone()));
+            let Expr::Reflect(r) = std::mem::replace(e, Expr::Null) else {
+                unreachable!("matched above")
+            };
             *e = Expr::Call(Call {
-                target: call_target,
-                method: r.method.clone(),
-                args: r.args.clone(),
+                target: match r.receiver {
+                    Some(recv) => CallTarget::Instance(recv),
+                    None => CallTarget::Static(r.class),
+                },
+                method: r.method,
+                args: r.args,
             });
         }
     });

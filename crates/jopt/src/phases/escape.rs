@@ -10,7 +10,7 @@
 use crate::event::OptEventKind;
 use crate::pipeline::OptCx;
 use mjava::{Block, Class, Expr, LValue, Method, Stmt, Type};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Escape classification of an allocation, ordered by severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -29,17 +29,17 @@ pub fn run(method: &mut Method, class: &Class, cx: &mut OptCx) {
     let states = analyze(method);
     cx.cover(0);
     // Report in deterministic order.
-    let mut names: Vec<&String> = states.keys().collect();
-    names.sort();
+    let mut names: Vec<&str> = states.keys().copied().collect();
+    names.sort_unstable();
     for name in names {
         match states[name] {
             EscapeState::NoEscape => {
                 cx.cover(1);
-                cx.emit_once(OptEventKind::EaNoEscape, name.clone());
+                cx.emit_once(OptEventKind::EaNoEscape, name);
             }
             EscapeState::ArgEscape => {
                 cx.cover(2);
-                cx.emit_once(OptEventKind::EaArgEscape, name.clone());
+                cx.emit_once(OptEventKind::EaArgEscape, name);
             }
             EscapeState::GlobalEscape => cx.cover(3),
         }
@@ -66,32 +66,33 @@ pub fn run(method: &mut Method, class: &Class, cx: &mut OptCx) {
         }
         scalar_replace(&mut method.body, &var, alloc_class);
         cx.cover(6);
-        cx.emit(OptEventKind::ScalarReplace, var.clone());
+        cx.emit(OptEventKind::ScalarReplace, var);
     }
 }
 
-/// Classifies every tracked allocation in the method.
-pub fn analyze(method: &Method) -> HashMap<String, EscapeState> {
+/// Classifies every tracked allocation in the method, keyed by the
+/// local's name as it appears in the method.
+pub fn analyze(method: &Method) -> HashMap<&str, EscapeState> {
     // Tracked: locals declared exactly once with a `new` initializer and
     // never re-assigned.
-    let mut decl_counts: HashMap<String, usize> = HashMap::new();
-    let mut allocs: HashMap<String, EscapeState> = HashMap::new();
+    let mut decl_counts: HashMap<&str, usize> = HashMap::new();
+    let mut allocs: HashMap<&str, EscapeState> = HashMap::new();
     collect_decl_info(&method.body, &mut decl_counts, &mut allocs);
+    if allocs.is_empty() {
+        return allocs;
+    }
     for p in &method.params {
-        decl_counts
-            .entry(p.name.clone())
-            .and_modify(|c| *c += 1)
-            .or_insert(1);
+        *decl_counts.entry(&p.name).or_insert(0) += 1;
     }
     allocs.retain(|name, _| decl_counts.get(name) == Some(&1));
-    let reassigned = reassigned_vars(&method.body);
+    let reassigned = crate::analysis::assigned_vars(&method.body);
     allocs.retain(|name, _| !reassigned.contains(name));
     let mut states = allocs;
     scan_block(&method.body, &mut states);
     states
 }
 
-fn upgrade(states: &mut HashMap<String, EscapeState>, var: &str, to: EscapeState) {
+fn upgrade(states: &mut HashMap<&str, EscapeState>, var: &str, to: EscapeState) {
     if let Some(s) = states.get_mut(var) {
         if to > *s {
             *s = to;
@@ -99,17 +100,17 @@ fn upgrade(states: &mut HashMap<String, EscapeState>, var: &str, to: EscapeState
     }
 }
 
-fn collect_decl_info(
-    block: &Block,
-    counts: &mut HashMap<String, usize>,
-    allocs: &mut HashMap<String, EscapeState>,
+fn collect_decl_info<'a>(
+    block: &'a Block,
+    counts: &mut HashMap<&'a str, usize>,
+    allocs: &mut HashMap<&'a str, EscapeState>,
 ) {
     for stmt in &block.0 {
         match stmt {
             Stmt::Decl { name, init, .. } => {
-                *counts.entry(name.clone()).or_insert(0) += 1;
+                *counts.entry(name).or_insert(0) += 1;
                 if let Some(Expr::New(_)) = init {
-                    allocs.insert(name.clone(), EscapeState::NoEscape);
+                    allocs.insert(name, EscapeState::NoEscape);
                 }
             }
             Stmt::If { then_b, else_b, .. } => {
@@ -124,7 +125,7 @@ fn collect_decl_info(
             Stmt::For { init, body, .. } => {
                 if let Some(i) = init {
                     if let Stmt::Decl { name, .. } = i.as_ref() {
-                        *counts.entry(name.clone()).or_insert(0) += 1;
+                        *counts.entry(name).or_insert(0) += 1;
                     }
                 }
                 collect_decl_info(body, counts, allocs);
@@ -135,17 +136,13 @@ fn collect_decl_info(
     }
 }
 
-fn reassigned_vars(block: &Block) -> HashSet<String> {
-    crate::analysis::assigned_vars(block)
-}
-
-fn scan_block(block: &Block, states: &mut HashMap<String, EscapeState>) {
+fn scan_block(block: &Block, states: &mut HashMap<&str, EscapeState>) {
     for stmt in &block.0 {
         scan_stmt(stmt, states);
     }
 }
 
-fn scan_stmt(stmt: &Stmt, states: &mut HashMap<String, EscapeState>) {
+fn scan_stmt(stmt: &Stmt, states: &mut HashMap<&str, EscapeState>) {
     match stmt {
         Stmt::Decl { init, .. } => {
             if let Some(e) = init {
@@ -207,13 +204,13 @@ fn scan_stmt(stmt: &Stmt, states: &mut HashMap<String, EscapeState>) {
 
 /// A use as the receiver object of a field access is harmless; anything
 /// else inside escapes.
-fn scan_receiver(obj: &Expr, states: &mut HashMap<String, EscapeState>) {
+fn scan_receiver(obj: &Expr, states: &mut HashMap<&str, EscapeState>) {
     if !matches!(obj, Expr::Var(_)) {
         scan_expr(obj, states);
     }
 }
 
-fn scan_expr(e: &Expr, states: &mut HashMap<String, EscapeState>) {
+fn scan_expr(e: &Expr, states: &mut HashMap<&str, EscapeState>) {
     match e {
         Expr::Var(v) => upgrade(states, v, EscapeState::GlobalEscape),
         Expr::Field(obj, _) => scan_receiver(obj, states),
@@ -289,7 +286,8 @@ fn used_as_lock(block: &Block, var: &str) -> bool {
     found
 }
 
-fn visit_syncs(block: &Block, f: &mut impl FnMut(&Expr)) {
+/// Calls `f` with the lock expression of every `synchronized` statement.
+pub(crate) fn visit_syncs<'a>(block: &'a Block, f: &mut impl FnMut(&'a Expr)) {
     for stmt in &block.0 {
         match stmt {
             Stmt::Sync { lock, body } => {

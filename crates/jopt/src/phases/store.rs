@@ -1,7 +1,7 @@
 //! Redundant store elimination: drops a store that is immediately
 //! overwritten by another store to the same location.
 
-use crate::analysis::{expr_is_pure, map_exprs_in_block_ref};
+use crate::analysis::{expr_is_pure, read_expr};
 use crate::event::OptEventKind;
 use crate::pipeline::OptCx;
 use mjava::{Block, Expr, LValue, Method, Stmt};
@@ -21,10 +21,22 @@ fn lvalue_key(lv: &LValue) -> Option<String> {
     }
 }
 
+/// True when both stores have the same [`lvalue_key`], compared without
+/// building the keys.
+fn same_location(a: &LValue, b: &LValue) -> bool {
+    match (a, b) {
+        (LValue::Var(v), LValue::Var(w)) => v == w,
+        (LValue::Field(Expr::This, f), LValue::Field(Expr::This, g)) => f == g,
+        (LValue::Field(Expr::Var(v), f), LValue::Field(Expr::Var(w), g)) => v == w && f == g,
+        (LValue::StaticField(c, f), LValue::StaticField(d, g)) => c == d && f == g,
+        _ => false,
+    }
+}
+
 /// Does the second store's value (or receiver) read the stored location?
 fn value_reads_location(value: &Expr, lv: &LValue) -> bool {
     let mut reads = false;
-    let mut check = |e: &Expr| match (lv, e) {
+    read_expr(value, &mut |e: &Expr| match (lv, e) {
         (LValue::Var(v), Expr::Var(v2)) if v == v2 => reads = true,
         (LValue::Field(Expr::This, f), Expr::Field(obj, f2))
             if f == f2 && matches!(obj.as_ref(), Expr::This) =>
@@ -43,9 +55,7 @@ fn value_reads_location(value: &Expr, lv: &LValue) -> bool {
         // a call could reach any location: be conservative.
         (_, Expr::Call(_) | Expr::Reflect(_)) => reads = true,
         _ => {}
-    };
-    let wrapper = Block(vec![Stmt::Expr(value.clone())]);
-    map_exprs_in_block_ref(&wrapper, &mut check);
+    });
     reads
 }
 
@@ -62,25 +72,18 @@ fn eliminate_in_block(block: &mut Block, cx: &mut OptCx) {
                     target: t2,
                     value: v2,
                 },
-            ) => {
-                let same = match (lvalue_key(t1), lvalue_key(t2)) {
-                    (Some(a), Some(b)) => a == b,
-                    _ => false,
-                };
-                same && expr_is_pure(v1) && !value_reads_location(v2, t1)
-            }
+            ) => same_location(t1, t2) && expr_is_pure(v1) && !value_reads_location(v2, t1),
             _ => false,
         };
         if removable {
             cx.cover(0);
-            let Stmt::Assign { target, .. } = &block.0[i] else {
+            let Stmt::Assign { target, .. } = block.0.remove(i) else {
                 unreachable!()
             };
             cx.emit(
                 OptEventKind::StoreEliminate,
-                lvalue_key(target).unwrap_or_default(),
+                lvalue_key(&target).unwrap_or_default(),
             );
-            block.0.remove(i);
             continue;
         }
         i += 1;

@@ -8,7 +8,7 @@
 //! and reader.
 
 use crate::json::push_quoted;
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{MetricsSnapshot, SpanStat};
 use crate::trace::TraceEvent;
 use crate::Session;
 use std::collections::HashMap;
@@ -403,7 +403,8 @@ fn fmt_duration(nanos: u64) -> String {
 }
 
 /// Renders the human-readable end-of-campaign report: headline counters,
-/// top spans by total time, top mutators by yield, waste accounting.
+/// every span by self time (its own cost, nested spans excluded), top
+/// mutators by yield, waste accounting.
 pub fn human_report(snap: &MetricsSnapshot) -> String {
     let mut out = String::with_capacity(2048);
     out.push_str("== telemetry report ==\n");
@@ -446,17 +447,20 @@ pub fn human_report(snap: &MetricsSnapshot) -> String {
         snap.gauge("bugs_found"),
     ));
 
-    let mut spans = snap.spans.clone();
-    spans.sort_by(|a, b| b.total_nanos.cmp(&a.total_nanos).then(a.name.cmp(&b.name)));
+    // By self time: a span's total includes the spans nested in it, so
+    // `vm_execution` would otherwise outrank every phase it contains.
+    let mut spans: Vec<&SpanStat> = snap.spans.iter().collect();
+    spans.sort_by(|a, b| b.self_nanos.cmp(&a.self_nanos).then(a.name.cmp(&b.name)));
     out.push_str("top phases by time:\n");
     if spans.is_empty() {
         out.push_str("  (no spans recorded)\n");
     }
-    for span in spans.iter().take(8) {
+    for span in spans {
         let mean = span.total_nanos.checked_div(span.count).unwrap_or(0);
         out.push_str(&format!(
-            "  {:<20} {:>10} x{:<8} mean {:>9}  max {:>9}\n",
+            "  {:<20} self {:>10}  total {:>10} x{:<8} mean {:>9}  max {:>9}\n",
             span.name,
+            fmt_duration(span.self_nanos),
             fmt_duration(span.total_nanos),
             span.count,
             fmt_duration(mean),
@@ -597,6 +601,52 @@ mod tests {
         assert!(report.contains("inline"));
         assert!(report.contains("Inlining"));
         assert!(report.contains("rounds: 20 done / 20 total"));
+    }
+
+    #[test]
+    fn human_report_lists_every_span_by_self_time() {
+        const PHASES: [&str; 10] = [
+            "inline",
+            "dereflection",
+            "escape_analysis",
+            "lock_opts",
+            "ideal_loop",
+            "iterative_gvn",
+            "redundant_store",
+            "autobox",
+            "dead_code",
+            "uncommon_trap",
+        ];
+        let clock = ManualClock::new();
+        crate::install(Session::with_clock(Box::new(clock.clone())));
+        {
+            // The enclosing span's total holds every phase, but its own
+            // cost (1 µs) is the smallest.
+            let _vm = crate::span(FlightKind::Vm, "vm_execution", "");
+            clock.advance(1_000);
+            for (i, name) in PHASES.iter().enumerate() {
+                let _p = crate::span(FlightKind::Phase, name, "");
+                clock.advance(2_000 * (i as u64 + 1));
+            }
+        }
+        let report = human_report(&crate::take().expect("session installed").snapshot());
+        let lines: Vec<&str> = report
+            .lines()
+            .skip_while(|l| *l != "top phases by time:")
+            .skip(1)
+            .take_while(|l| l.starts_with("  "))
+            .collect();
+        let names: Vec<&str> = lines
+            .iter()
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        let mut expected: Vec<&str> = PHASES.iter().rev().copied().collect();
+        expected.push("vm_execution");
+        assert_eq!(names, expected, "{report}");
+        assert!(
+            lines[10].contains("self     1.00us  total   111.00us"),
+            "{report}"
+        );
     }
 
     #[test]
