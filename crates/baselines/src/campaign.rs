@@ -79,8 +79,8 @@ pub fn tool_campaign(tool: Tool, seeds: &[Seed], config: &ToolCampaignConfig) ->
     let tool_label = tool.to_string();
     let mut round = 0usize;
     while result.executions < config.max_executions {
-        let _round_span =
-            jtelemetry::span(jtelemetry::FlightKind::Round, "tool_round", &tool_label);
+        jtelemetry::flight(jtelemetry::FlightKind::Round, "tool_round", &tool_label);
+        let _round_span = jtelemetry::span("tool_round", || vec![("detail", tool_label.clone())]);
         let seed = &seeds[round % seeds.len()];
         let guidance = config.pool[round % config.pool.len()].clone();
         let rng_seed = config

@@ -189,9 +189,11 @@ pub fn fuzz(seed: &Program, config: &FuzzConfig) -> FuzzOutcome {
         build_failures: 0,
         seed_invalid: None,
     };
+    let mutate = jtelemetry::span("mutate", Vec::new);
     let Some(mut mp) = select_mp(seed, &mut rng) else {
         return outcome;
     };
+    drop(mutate);
     outcome.final_mp = mp.clone();
 
     // Execute the seed to obtain the parent's profile data.
@@ -203,7 +205,9 @@ pub fn fuzz(seed: &Program, config: &FuzzConfig) -> FuzzOutcome {
     outcome.executions += 1;
     outcome.steps += seed_run.steps;
     outcome.coverage.merge(&seed_run.coverage);
+    let obv = jtelemetry::span("obv", Vec::new);
     let seed_obv = Obv::from_log(&seed_run.log);
+    drop(obv);
     outcome.seed_obv = seed_obv;
     if let Verdict::CompilerCrash(report) = seed_run.verdict {
         // A seed that crashes the JVM is already a find.
@@ -219,6 +223,7 @@ pub fn fuzz(seed: &Program, config: &FuzzConfig) -> FuzzOutcome {
     let mut parent_obv = seed_obv;
 
     for iteration in 1..=config.max_iterations {
+        let mutate = jtelemetry::span("mutate", Vec::new);
         if config.variant == Variant::RandomMp {
             if let Some(fresh) = select_mp(&parent, &mut rng) {
                 mp = fresh;
@@ -247,6 +252,7 @@ pub fn fuzz(seed: &Program, config: &FuzzConfig) -> FuzzOutcome {
         let Some((pick, mutation)) = mutation else {
             break;
         };
+        drop(mutate);
         let kind = mutators[pick].kind();
         if jtelemetry::enabled() {
             jtelemetry::count(jtelemetry::Counter::MutationsApplied, 1);
@@ -283,6 +289,7 @@ pub fn fuzz(seed: &Program, config: &FuzzConfig) -> FuzzOutcome {
             }
             continue;
         }
+        let obv = jtelemetry::span("obv", Vec::new);
         let child_obv = Obv::from_log(&child_run.log);
         let delta = Obv::delta(&parent_obv, &child_obv);
         if jtelemetry::enabled() {
@@ -305,6 +312,7 @@ pub fn fuzz(seed: &Program, config: &FuzzConfig) -> FuzzOutcome {
                 }
             };
         }
+        drop(obv);
         outcome.final_mutant = mutation.program.clone();
         outcome.final_mp = mutation.mp.clone();
         if let Verdict::CompilerCrash(report) = child_run.verdict {

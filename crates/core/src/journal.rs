@@ -242,6 +242,7 @@ impl JournalWriter {
     }
 
     fn line(&mut self, json: &str) -> Result<(), String> {
+        let _span = jtelemetry::span("journal_append", Vec::new);
         let mut data = Vec::with_capacity(json.len() + 1);
         data.extend_from_slice(json.as_bytes());
         data.push(b'\n');

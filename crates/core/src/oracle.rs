@@ -69,7 +69,10 @@ pub fn differential(
     // JIT code into.
     let image = jexec::Image::build(program);
     for spec in pool {
-        let run = jvmsim::run_jvm_with_image(program, Some(image.clone()), spec, options);
+        let clone = jtelemetry::span("image_build", Vec::new);
+        let prebuilt = Some(image.clone());
+        drop(clone);
+        let run = jvmsim::run_jvm_with_image(program, prebuilt, spec, options);
         executions += 1;
         steps += run.steps;
         coverage.merge(&run.coverage);

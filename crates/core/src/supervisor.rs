@@ -482,7 +482,7 @@ fn run_attempt(
     };
     let (record, mutant) = catch_round(|| {
         let outcome = {
-            let _fuzz_span = jtelemetry::trace_span("fuzz", || {
+            let _fuzz_span = jtelemetry::span("fuzz", || {
                 vec![("seed", seed.name.clone()), ("guidance", guidance.name())]
             });
             fuzz(&seed.program, &fuzz_config)
@@ -526,7 +526,7 @@ fn run_attempt(
             ..RunOptions::fuzzing()
         };
         let diff = {
-            let _diff_span = jtelemetry::trace_span("differential", || {
+            let _diff_span = jtelemetry::span("differential", || {
                 vec![("pool", config.pool.len().to_string())]
             });
             differential(&outcome.final_mutant, &config.pool, &options)
@@ -609,7 +609,7 @@ fn execute_round(
     // Trace identity: one root span per round; attempts nest under it.
     // Skipped rounds still get a (zero-duration) root so the trace
     // accounts for every scheduled round.
-    let _round_span = jtelemetry::trace_span("round", || {
+    let _round_span = jtelemetry::span("round", || {
         vec![
             ("round", round.to_string()),
             ("seed", seed.name.clone()),
@@ -636,7 +636,7 @@ fn execute_round(
             "attempt",
             format!("round {round} attempt {attempt} seed {}", seed.name),
         );
-        let _attempt_span = jtelemetry::trace_span("attempt", || {
+        let _attempt_span = jtelemetry::span("attempt", || {
             vec![
                 ("attempt", attempt.to_string()),
                 ("rng_seed", format!("{rng_seed:#x}")),
@@ -718,6 +718,7 @@ fn consider_promotion(
     let mut execs = 0u64;
     let mut steps = 0u64;
     let options = RunOptions::fuzzing();
+    let reduce = jtelemetry::span("reduce", Vec::new);
     let reduced = match &reason {
         PromotionReason::Bug(id) => {
             let sighting = record.crash.as_ref().or_else(|| record.diff_bugs.first())?;
@@ -754,6 +755,7 @@ fn consider_promotion(
             jreduce::reduce(mutant, &mut oracle).0
         }
     };
+    drop(reduce);
     let fp = jcorpus::fingerprint(&reduced).ok()?;
     execs += 1;
     steps += fp.steps;

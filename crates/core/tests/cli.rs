@@ -398,7 +398,7 @@ fn metrics_out_writes_valid_snapshots_and_prometheus() {
     );
     // End-of-campaign human report on stdout.
     assert!(stdout.contains("== telemetry report =="), "{stdout}");
-    assert!(stdout.contains("top phases by time:"), "{stdout}");
+    assert!(stdout.contains("spans by self time:"), "{stdout}");
 
     // One snapshot per round plus the final flush, every line valid.
     let text = std::fs::read_to_string(&metrics).expect("metrics written");
@@ -424,7 +424,7 @@ fn metrics_out_writes_valid_snapshots_and_prometheus() {
         );
     }
     let report = stdout
-        .split("top phases by time:\n")
+        .split("spans by self time:\n")
         .nth(1)
         .expect("report section");
     for span in recorded {
@@ -436,6 +436,67 @@ fn metrics_out_writes_valid_snapshots_and_prometheus() {
         );
     }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A corpus campaign's `--metrics-out` page times every layer a round
+/// passes through, from mutation to the journal append, so the cost split
+/// comes from the program itself.
+#[test]
+fn metrics_out_names_a_span_for_every_layer() {
+    const LAYERS: [&str; 16] = [
+        "fuzz",
+        "mutate",
+        "obv",
+        "image_build",
+        "tier0",
+        "optimize",
+        "program_fp",
+        "install",
+        "final_exec",
+        "vm_execution",
+        "differential",
+        "reduce",
+        "fingerprint",
+        "store_save",
+        "journal_append",
+        "interp_run",
+    ];
+    let dir = std::env::temp_dir().join(format!("mop_cli_layers_{}", std::process::id()));
+    let store = dir.join("store");
+    std::fs::create_dir_all(&dir).unwrap();
+    let init = bin()
+        .args(["corpus", "init", store.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(init.status.success());
+    let metrics = dir.join("metrics.jsonl");
+    let out = bin()
+        .args(["--rounds", "2", "--iterations", "4", "--rng", "3"])
+        .args([
+            "--corpus",
+            store.to_str().unwrap(),
+            "--promote-threshold",
+            "1",
+        ])
+        .args(["--journal", dir.join("j.jsonl").to_str().unwrap()])
+        .args(["--metrics-out", metrics.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let prom = std::fs::read_to_string(dir.join("metrics.jsonl.prom")).expect("prom written");
+    for layer in LAYERS {
+        let count = format!("mop_span_duration_nanos_count{{span=\"{layer}\"}} ");
+        let line = prom.lines().find(|l| l.starts_with(&count));
+        assert!(
+            line.is_some_and(|l| !l.ends_with(" 0")),
+            "no {layer} span: {prom}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

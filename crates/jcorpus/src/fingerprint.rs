@@ -36,6 +36,7 @@ pub fn reference_jvm() -> JvmSpec {
 /// Returns an error for programs the reference JVM rejects (invalid
 /// seeds have no behaviour to fingerprint).
 pub fn fingerprint(program: &Program) -> Result<FingerprintOutcome, String> {
+    let _span = jtelemetry::span("fingerprint", Vec::new);
     let run = run_jvm(program, &reference_jvm(), &RunOptions::fuzzing());
     match &run.verdict {
         Verdict::InvalidProgram(e) => Err(format!("invalid program: {e}")),

@@ -507,6 +507,7 @@ impl Store {
     /// first, so two campaigns finishing over one store lose neither
     /// quarantine pairs nor promoted entries.
     pub fn save(&mut self) -> Result<(), String> {
+        let _span = jtelemetry::span("store_save", Vec::new);
         self.fs
             .create_dir_all(&self.dir.join(ENTRIES_DIR))
             .map_err(|e| format!("create {}: {e}", self.dir.display()))?;

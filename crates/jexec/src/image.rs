@@ -131,6 +131,7 @@ impl Image {
     /// `static main()`, unresolved names, or ill-formed calls — the
     /// MiniJava analogue of a class-loading/verification failure.
     pub fn build(program: &mjava::Program) -> Result<Image, BuildError> {
+        let _span = jtelemetry::span("image_build", Vec::new);
         // Pass 1: class and member skeletons.
         let mut class_index = HashMap::new();
         for (ci, class) in program.classes.iter().enumerate() {

@@ -60,7 +60,7 @@ fn run_keyed(
     config: &ExecConfig,
     digest_of: fn(&Image, &ExecConfig) -> u64,
 ) -> Outcome {
-    let _trace = jtelemetry::trace_span("interp_run", Vec::new);
+    let _span = jtelemetry::span("interp_run", Vec::new);
     let profiled = jtelemetry::profiling();
     let key = digest_of(image, config);
     let hit = MEMO.with(|memo| {
@@ -106,7 +106,7 @@ fn run_keyed(
 /// Executes `image` on the `mode` substrate without consulting the memo,
 /// with the same telemetry as [`run`].
 pub(crate) fn bypass(mode: ExecMode, image: &Image, config: &ExecConfig) -> Outcome {
-    let _trace = jtelemetry::trace_span("interp_run", Vec::new);
+    let _span = jtelemetry::span("interp_run", Vec::new);
     let config = ExecConfig { mode, ..*config };
     execute(image, &config, jtelemetry::profiling()).0
 }

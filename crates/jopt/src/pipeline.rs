@@ -232,7 +232,7 @@ pub fn optimize(
     let class = program.class(class_name)?;
     let mut method = class.method(method_name)?.clone();
     let mut cx = OptCx::new(program, class_name, method_name, limits);
-    let _trace = jtelemetry::trace_span("optimize", || vec![("method", cx.method_label.clone())]);
+    let _span = jtelemetry::span("optimize", || vec![("method", cx.method_label.clone())]);
     run_pipeline(&mut method, class, phase_order, &mut cx);
     let log = render_log(&cx.method_label, &cx.events, flags);
     Some(OptOutcome {
@@ -278,9 +278,9 @@ fn render_log(method_label: &str, events: &[OptEvent], flags: &FlagSet) -> Vec<S
 }
 
 /// Everything a compile produces except its flag-dependent log.
-/// `phases_run` lets a memo hit replay the pipeline's telemetry spans, so
-/// flight streams and span histograms stay identical whether the
-/// pipeline ran or was replayed.
+/// `phases_run` lets a memo hit replay the phases' flight events and
+/// spans, so flight streams and span histograms stay identical whether
+/// the pipeline ran or was replayed.
 struct Snapshot {
     method: mjava::Method,
     events: Vec<OptEvent>,
@@ -392,7 +392,7 @@ pub fn optimize_memo(
     let class = program.class(class_name)?;
     let source = class.method(method_name)?;
     let mut cx = OptCx::new(program, class_name, method_name, limits);
-    let _trace = jtelemetry::trace_span("optimize", || vec![("method", cx.method_label.clone())]);
+    let _span = jtelemetry::span("optimize", || vec![("method", cx.method_label.clone())]);
     let key = MemoKey {
         program_fp,
         class: class_name.to_string(),
@@ -405,11 +405,7 @@ pub fn optimize_memo(
         Some(snapshot) => {
             MEMO_HITS.fetch_add(1, Ordering::Relaxed);
             for &phase in phase_order.iter().cycle().take(snapshot.phases_run) {
-                let _span = jtelemetry::span(
-                    jtelemetry::FlightKind::Phase,
-                    phase.name(),
-                    &cx.method_label,
-                );
+                drop(phase_span(phase, &cx));
             }
             snapshot
         }
@@ -440,12 +436,18 @@ pub fn optimize_memo(
     })
 }
 
-fn run_phase(phase: PhaseId, method: &mut mjava::Method, class: &mjava::Class, cx: &mut OptCx) {
-    let _span = jtelemetry::span(
+/// A phase's flight event and span; a memo hit replays both.
+fn phase_span(phase: PhaseId, cx: &OptCx) -> jtelemetry::SpanGuard {
+    jtelemetry::flight(
         jtelemetry::FlightKind::Phase,
         phase.name(),
         &cx.method_label,
     );
+    jtelemetry::span(phase.name(), || vec![("detail", cx.method_label.clone())])
+}
+
+fn run_phase(phase: PhaseId, method: &mut mjava::Method, class: &mjava::Class, cx: &mut OptCx) {
+    let _span = phase_span(phase, cx);
     match phase {
         PhaseId::Inline => phases::inline::run(method, class, cx),
         PhaseId::Escape => phases::escape::run(method, class, cx),

@@ -350,13 +350,13 @@ mod tests {
     fn report_summarizes_a_real_trace() {
         jtelemetry::install(Session::new().with_trace().with_profile());
         {
-            let _round = jtelemetry::trace_span("round", || vec![("round", "0".to_string())]);
-            let _attempt = jtelemetry::trace_span("attempt", Vec::new);
+            let _round = jtelemetry::span("round", || vec![("round", "0".to_string())]);
+            let _attempt = jtelemetry::span("attempt", Vec::new);
             {
-                let _fuzz = jtelemetry::trace_span("fuzz", Vec::new);
+                let _fuzz = jtelemetry::span("fuzz", Vec::new);
                 jtelemetry::work::add(600, 6);
             }
-            let _diff = jtelemetry::trace_span("differential", Vec::new);
+            let _diff = jtelemetry::span("differential", Vec::new);
             jtelemetry::work::add(400, 8);
         }
         jtelemetry::profile_opcode("Arith", 500, 900);

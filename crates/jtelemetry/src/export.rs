@@ -451,7 +451,7 @@ pub fn human_report(snap: &MetricsSnapshot) -> String {
     // `vm_execution` would otherwise outrank every phase it contains.
     let mut spans: Vec<&SpanStat> = snap.spans.iter().collect();
     spans.sort_by(|a, b| b.self_nanos.cmp(&a.self_nanos).then(a.name.cmp(&b.name)));
-    out.push_str("top phases by time:\n");
+    out.push_str("spans by self time:\n");
     if spans.is_empty() {
         out.push_str("  (no spans recorded)\n");
     }
@@ -526,7 +526,7 @@ pub fn status_line(snap: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Counter, FlightKind, Gauge, ManualClock, Session};
+    use crate::{Counter, Gauge, ManualClock, Session};
 
     fn sample_snapshot() -> MetricsSnapshot {
         let clock = ManualClock::new();
@@ -539,7 +539,7 @@ mod tests {
         crate::mutator_outcome("Inlining", true, 3.5);
         crate::mutator_outcome("LoopPeel\"q\"", false, 0.0);
         {
-            let _g = crate::span(FlightKind::Phase, "inline", "T::main");
+            let _g = crate::span("inline", Vec::new);
             clock.advance(2_000);
         }
         clock.advance(1_000_000_000);
@@ -622,17 +622,17 @@ mod tests {
         {
             // The enclosing span's total holds every phase, but its own
             // cost (1 µs) is the smallest.
-            let _vm = crate::span(FlightKind::Vm, "vm_execution", "");
+            let _vm = crate::span("vm_execution", Vec::new);
             clock.advance(1_000);
             for (i, name) in PHASES.iter().enumerate() {
-                let _p = crate::span(FlightKind::Phase, name, "");
+                let _p = crate::span(name, Vec::new);
                 clock.advance(2_000 * (i as u64 + 1));
             }
         }
         let report = human_report(&crate::take().expect("session installed").snapshot());
         let lines: Vec<&str> = report
             .lines()
-            .skip_while(|l| *l != "top phases by time:")
+            .skip_while(|l| *l != "spans by self time:")
             .skip(1)
             .take_while(|l| l.starts_with("  "))
             .collect();
@@ -687,15 +687,15 @@ mod tests {
         let clock = ManualClock::new();
         crate::install(Session::with_clock(Box::new(clock.clone())).with_trace());
         {
-            let _round = crate::trace_span("round", || vec![("round", "0".to_string())]);
+            let _round = crate::span("round", || vec![("round", "0".to_string())]);
             crate::work::add(100, 1);
             {
-                let _a = crate::trace_span("attempt", Vec::new);
+                let _a = crate::span("attempt", Vec::new);
                 crate::work::add(50, 1);
             }
         }
         {
-            let _round = crate::trace_span("round", || vec![("round", "1".to_string())]);
+            let _round = crate::span("round", || vec![("round", "1".to_string())]);
             crate::work::add(30, 1);
         }
         let session = crate::take().unwrap();

@@ -1,6 +1,6 @@
 //! The flight recorder: a bounded ring buffer of the most recent
-//! spans/events, reset at each round attempt and dumped when the attempt
-//! faults — the "moments before the crash" for post-mortem diagnosis.
+//! events, written by explicit [`crate::flight`] calls, reset at each
+//! round attempt and dumped when the attempt faults — the "moments before the crash" for post-mortem diagnosis.
 //!
 //! Timestamps are *simulated* time — interpreter steps from
 //! [`crate::work`], relative to the last reset — so dumps are
