@@ -173,7 +173,7 @@ fn print_usage() {
            --rng SEED              RNG seed (default 0)\n\
            --out DIR               where mutants and logs are written (default mutants/)\n\
            --exec-mode MODE        execution substrate: 'threaded' (default;\n\
-                                   pre-lowered code, shared code cache) or\n\
+                                   code lowered once per method and run) or\n\
                                    'interp' (the reference interpreter).\n\
                                    Outcomes, journals and traces are\n\
                                    bit-identical in both modes\n\

@@ -77,8 +77,8 @@ pub struct MethodImage {
     pub code: Code,
     /// Fingerprint of the currently installed [`Code`], kept in sync by
     /// [`Image::build`] and [`Image::install_code`]. Together with the
-    /// image's [`Image::shape_fp`] it keys the threaded-substrate code
-    /// cache, so a JIT tier-up invalidates exactly this method's entry.
+    /// image's [`Image::shape_fp`] it feeds the run memo's digest, which
+    /// only picks a candidate entry; a hit is verified by full equality.
     pub code_fp: u64,
 }
 
@@ -94,7 +94,7 @@ pub struct Image {
     shape_fp: u64,
 }
 
-/// 64-bit FNV-1a, the fingerprint primitive for cache keys.
+/// 64-bit FNV-1a, the fingerprint primitive for memo digests.
 #[derive(Clone, Copy)]
 pub(crate) struct Fnv(pub u64);
 
@@ -229,9 +229,9 @@ impl Image {
 
     /// Fingerprint of everything the threaded-substrate lowering reads
     /// besides the method's own [`Code`]: class names and layouts, static
-    /// layouts, method directories, and method signatures. Two images with
-    /// the same shape fingerprint resolve identical bytecode identically,
-    /// which is what makes (shape, code) a sound code-cache key.
+    /// layouts, method directories, and method signatures. It feeds the
+    /// run memo's candidate digest alongside each method's
+    /// [`MethodImage::code_fp`]; nothing trusts it without a full compare.
     pub fn shape_fp(&self) -> u64 {
         self.shape_fp
     }

@@ -25,8 +25,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum ExecMode {
     /// The classic [`Instr`]-matching interpreter in this module.
     Interp,
-    /// The pre-resolved threaded substrate in [`crate::threaded`], backed
-    /// by the process-wide code cache.
+    /// The pre-resolved threaded substrate in [`crate::threaded`], which
+    /// lowers each method a run calls once, for that run.
     Threaded,
 }
 
@@ -108,19 +108,6 @@ pub struct Profile {
     pub invocations: Vec<u64>,
     /// Loop back-edges taken per [`MethodId`].
     pub backedges: Vec<u64>,
-}
-
-impl Profile {
-    /// Methods whose invocation count or back-edge count reaches the given
-    /// thresholds — the JIT compilation candidates.
-    pub fn hot_methods(&self, invocation_threshold: u64, backedge_threshold: u64) -> Vec<MethodId> {
-        (0..self.invocations.len())
-            .filter(|&m| {
-                self.invocations[m] >= invocation_threshold
-                    || self.backedges[m] >= backedge_threshold
-            })
-            .collect()
-    }
 }
 
 /// Number of distinct opcodes ([`Instr`] discriminants) — the size of the
@@ -1067,8 +1054,7 @@ mod tests {
 
     #[test]
     fn hot_method_profile() {
-        let o = exec(
-            r#"
+        let src = r#"
             class T {
                 static int f(int i) { return i * 2; }
                 static void main() {
@@ -1077,11 +1063,13 @@ mod tests {
                     System.out.println(s);
                 }
             }
-            "#,
-        );
-        let hot = o.profile.hot_methods(400, 400);
-        // Both f (500 invocations) and main (499+ backedges) are hot.
-        assert_eq!(hot.len(), 2);
+            "#;
+        let image = Image::build(&mjava::parse(src).unwrap()).unwrap();
+        let (main, f) = (image.main(), image.method_id("T", "f").unwrap());
+        let o = run(&image, &interp_config());
+        assert_eq!(o.profile.invocations[f], 500);
+        assert_eq!(o.profile.backedges[f], 0);
+        assert!(o.profile.backedges[main] >= 499);
     }
 
     #[test]

@@ -162,7 +162,7 @@ fn digest(image: &Image, config: &ExecConfig) -> u64 {
 mod tests {
     use super::*;
     use crate::code::{Code, Instr};
-    use crate::threaded::{cache_stats, CACHE_TEST_LOCK};
+    use crate::threaded::cache_stats;
     use jtelemetry::{Session, SessionSpec};
 
     fn build(src: &str) -> Image {
@@ -174,9 +174,8 @@ mod tests {
         MEMO.with(|memo| memo.borrow().len())
     }
 
-    fn lookups() -> u64 {
-        let stats = cache_stats();
-        stats.hits + stats.misses
+    fn lowerings() -> u64 {
+        cache_stats().misses
     }
 
     const LOOP: &str = "class T { static int s = 3; static void main() { int t = 0; for (int i = 0; i < 2000; i++) { t = t + s; } System.out.println(t); } }";
@@ -190,19 +189,18 @@ mod tests {
 
     #[test]
     fn an_equal_image_hits_without_lowering() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let first = run(&build(LOOP), &threaded());
         assert_eq!(entries(), 1);
         let again = build(LOOP);
-        // Other test threads may look the code cache up meanwhile; a hit
-        // that makes no lookup of its own shows a quiet window at least
-        // once, and a hit that did look up would never.
+        // Other test threads may lower meanwhile; a hit that lowers
+        // nothing of its own shows a quiet window at least once, and a hit
+        // that did lower would never.
         let quiet = (0..100).any(|_| {
-            let before = lookups();
+            let before = lowerings();
             assert_eq!(run(&again, &threaded()), first);
-            lookups() == before
+            lowerings() == before
         });
-        assert!(quiet, "a hit looked the code cache up");
+        assert!(quiet, "a hit lowered code");
         assert_eq!(entries(), 1, "a hit adds no entry");
     }
 

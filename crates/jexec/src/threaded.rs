@@ -30,14 +30,13 @@
 //! inlines tiny leaf callees at their statically resolved `Invoke` sites
 //! ([`Op::InlineCall`]): the callee's straight-line micro-ops execute in
 //! the caller's dispatch, with no frame push and no per-call code lookup.
-//! The process-wide code cache key covers the code fingerprints of every
-//! statically invoked callee, so a JIT [`Image::install_code`] on a leaf
-//! invalidates exactly the cached bodies that inlined it.
 //!
-//! Lowered bodies are shared through a process-wide lock-once code cache
-//! keyed by `(image shape fingerprint, method+callee code fingerprints)`,
-//! so every `WorkPool` worker and every differential-pool JVM reuses
-//! lowering work.
+//! Each run lowers a method the first time it calls it, against the image
+//! it runs, and keeps the body for the rest of that run only. Nothing is
+//! shared between runs or threads, so a JIT [`Image::install_code`] is
+//! seen by the next run of the image, callers that inlined the new body
+//! included. Repeated runs of an equal image are served whole by the run
+//! memo of [`crate::run`].
 //!
 //! The dispatch loop preserves the interpreter's observable behaviour bit
 //! for bit: fuel accounting, step counts, the every-4096-steps cancellation
@@ -54,13 +53,13 @@
 
 use crate::code::{ArithOp, CmpOp, Code, Instr, MethodId};
 use crate::error::ExecError;
-use crate::image::{Fnv, Image};
+use crate::image::Image;
 use crate::interp::{opcode_index, ExecConfig, ExecStats, OpcodeProfiler, Outcome, Profile};
 use crate::slot::{self, Slot, Tag, NULL};
 use crate::value::{ClassId, Heap, Value};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Micro-table value for the pc sentinel: the interpreter errors on fetch,
 /// before profiler attribution, so the sentinel must not be profiled.
@@ -379,98 +378,28 @@ pub struct ThreadedCode {
     inlines: Box<[InlineInfo]>,
 }
 
-/// Statistics of the process-wide code cache (for benches and debugging).
+/// Lowering statistics (for benches and debugging). There is no code
+/// cache, so every lookup is a miss: `misses` counts the lowerings
+/// performed, and `entries` and `hits` are always 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Entries currently resident.
+    /// Always 0: no lowered body outlives its run.
     pub entries: usize,
-    /// Process-lifetime lookup hits.
+    /// Always 0.
     pub hits: u64,
-    /// Process-lifetime lookup misses (lowerings performed).
+    /// Process-lifetime lowerings.
     pub misses: u64,
 }
 
-/// Entry cap; on overflow the cache is flushed wholesale. Presence in the
-/// cache never affects results or telemetry, so eviction is unobservable.
-const CACHE_CAP: usize = 16_384;
+static LOWERINGS: AtomicU64 = AtomicU64::new(0);
 
-/// `(image shape fingerprint, combined code fingerprint)` -> lowered body.
-/// The combined fingerprint covers the method's own code plus the code of
-/// every statically invoked callee — leaf inlining copies callee bodies
-/// into the fused code, so `install_code` on a callee must invalidate its
-/// inliners too.
-type CodeMap = HashMap<(u64, u64), Arc<ThreadedCode>>;
-
-static CODE_CACHE: OnceLock<RwLock<CodeMap>> = OnceLock::new();
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
-
-fn cache() -> &'static RwLock<CodeMap> {
-    CODE_CACHE.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-fn cache_read() -> RwLockReadGuard<'static, CodeMap> {
-    cache().read().unwrap_or_else(|e| e.into_inner())
-}
-
-fn cache_write() -> RwLockWriteGuard<'static, CodeMap> {
-    cache().write().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Empties the cache and zeroes its statistics.
-#[cfg(test)]
-pub fn cache_reset() {
-    cache_write().clear();
-    CACHE_HITS.store(0, Ordering::Relaxed);
-    CACHE_MISSES.store(0, Ordering::Relaxed);
-}
-
-/// Serializes the unit tests that reset the process-wide code cache or
-/// read its statistics, which the test harness shares across threads.
-#[cfg(test)]
-pub(crate) static CACHE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Live statistics of the process-wide cache.
+/// Process-lifetime lowering statistics.
 pub fn cache_stats() -> CacheStats {
     CacheStats {
-        entries: cache_read().len(),
-        hits: CACHE_HITS.load(Ordering::Relaxed),
-        misses: CACHE_MISSES.load(Ordering::Relaxed),
+        entries: 0,
+        hits: 0,
+        misses: LOWERINGS.load(Ordering::Relaxed),
     }
-}
-
-/// Fetches (or lowers and publishes) the threaded body of one method.
-fn lookup_or_lower(image: &Image, mid: MethodId) -> Arc<ThreadedCode> {
-    let m = &image.methods[mid];
-    let mut h = Fnv::new();
-    h.u64(m.code_fp);
-    // Leaf inlining copies statically invoked callee bodies into this
-    // method's fused code, so the key covers their fingerprints too:
-    // `install_code` on a callee changes every inliner's key.
-    for instr in &m.code.instrs {
-        if let Instr::Invoke { method, .. } = instr {
-            if let Some(t) = image.methods.get(*method) {
-                h.u64(t.code_fp);
-            }
-        }
-    }
-    let key = (image.shape_fp(), h.0);
-    if let Some(tc) = cache_read().get(&key) {
-        CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return Arc::clone(tc);
-    }
-    CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    // Lower outside the lock: lowering is a pure function of the key, so
-    // racing writers insert interchangeable values and `or_insert` keeps
-    // the first.
-    let tc = Arc::new(fuse(image, mid, lower(image, mid)));
-    let mut map = cache_write();
-    let flushed = (map.len() >= CACHE_CAP).then(|| std::mem::take(&mut *map));
-    let tc = Arc::clone(map.entry(key).or_insert(tc));
-    // Dropping a full cache is slow: release the lock first.
-    drop(map);
-    drop(flushed);
-    tc
 }
 
 /// Abstract operand kind for the lowering-time type recovery.
@@ -1384,9 +1313,7 @@ fn fuse(image: &Image, mid: MethodId, mut tc: ThreadedCode) -> ThreadedCode {
     // straight-line callee executes the callee's micro-ops in place —
     // no frame push, no per-call code lookup. Its micros are the `Invoke`
     // plus the callee's instructions up to its return (the leaf body is
-    // exactly that prefix). The code-cache key covers the callee
-    // fingerprints (see [`lookup_or_lower`]), so `install_code` on the
-    // callee invalidates this body.
+    // exactly that prefix), copied from the image being lowered.
     let mut inlines: Vec<InlineInfo> = Vec::new();
     for (f, op) in fused.iter_mut().enumerate() {
         if let Op::Invoke(ci) = op {
@@ -1527,7 +1454,7 @@ fn flat_static(image: &Image, base: &[u32], cid: ClassId, off: u16) -> Option<u3
 /// A suspended caller frame: three indices into the register-file arena
 /// plus the code handle — no per-frame vectors to save or restore.
 struct SavedFrame {
-    code: Arc<ThreadedCode>,
+    code: Rc<ThreadedCode>,
     mid: usize,
     pc: usize,
     base: usize,
@@ -1545,10 +1472,11 @@ struct SavedFrame {
 /// not per-access: local slots are bounds-checked at lowering time against
 /// `n_locals`, and frame entry reserves `base + n_locals + max_stack`
 /// entries; static slots are bounds-checked at lowering time against the
-/// image's flattened static count, which the cache key's shape fingerprint
-/// pins; stack accesses sit below `sp`, which never exceeds `len` (pushes
-/// grow on full). Debug builds assert every access, and the CI `miri`
-/// pass executes the dispatch loop under those assertions.
+/// flattened static count of the image being run (a run lowers only
+/// against its own image, whose statics [`execute`] flattens); stack
+/// accesses sit below `sp`, which never exceeds `len` (pushes grow on
+/// full). Debug builds assert every access, and the CI `miri` pass
+/// executes the dispatch loop under those assertions.
 #[derive(Debug, Default)]
 struct RegFile {
     bits: Vec<u64>,
@@ -1630,8 +1558,8 @@ struct TMachine<'i> {
     profile: Profile,
     output: Vec<String>,
     profiler: Option<OpcodeProfiler>,
-    /// Per-execution memo of cache lookups (one per method, first call).
-    lowered: Vec<Option<Arc<ThreadedCode>>>,
+    /// This run's lowered bodies, by method (filled on first call).
+    lowered: Vec<Option<Rc<ThreadedCode>>>,
 }
 
 /// Executes `image` from its `main` method on the threaded substrate,
@@ -1701,12 +1629,15 @@ pub(crate) fn execute(
 }
 
 impl<'i> TMachine<'i> {
-    fn ensure(&mut self, mid: usize) -> Arc<ThreadedCode> {
+    /// The lowered body of `mid`, lowered and fused on this run's first
+    /// call of it.
+    fn ensure(&mut self, mid: usize) -> Rc<ThreadedCode> {
         if let Some(tc) = &self.lowered[mid] {
-            return Arc::clone(tc);
+            return Rc::clone(tc);
         }
-        let tc = lookup_or_lower(self.image, mid);
-        self.lowered[mid] = Some(Arc::clone(&tc));
+        LOWERINGS.fetch_add(1, Ordering::Relaxed);
+        let tc = Rc::new(fuse(self.image, mid, lower(self.image, mid)));
+        self.lowered[mid] = Some(Rc::clone(&tc));
         tc
     }
 
@@ -3073,50 +3004,27 @@ mod tests {
         }
     }
 
+    /// Every run lowers each method it calls exactly once, however often
+    /// it calls it, and a second run of the same image lowers it again.
     #[test]
-    fn code_cache_shares_lowering_across_runs() {
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        cache_reset();
-        let image = Image::build(
-            &mjava::parse("class T { static void main() { System.out.println(3); } }").unwrap(),
-        )
-        .unwrap();
-        let first = run(&image, &ExecConfig::default());
-        let stats1 = cache_stats();
-        let second = run(&image, &ExecConfig::default());
-        let stats2 = cache_stats();
-        assert_eq!(first, second);
-        assert!(stats2.hits > stats1.hits, "second run hits the cache");
-        assert_eq!(stats2.misses, stats1.misses, "second run lowers nothing");
-    }
-
-    #[test]
-    fn install_code_invalidates_exactly_that_method() {
-        use crate::code::{Code, Instr};
-        let _guard = CACHE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let src = "class T { static int f() { return 1; } static void main() { System.out.println(3); } }";
-        let mut image = Image::build(&mjava::parse(src).unwrap()).unwrap();
-        let (main, f) = (image.main(), image.method_id("T", "f").unwrap());
-        let main_before = lookup_or_lower(&image, main);
-        let f_before = lookup_or_lower(&image, f);
-        image.install_code(
-            main,
-            Code {
-                instrs: vec![Instr::ConstI(9), Instr::Print, Instr::Return],
-                n_locals: 0,
-                max_stack: 1,
-            },
-        );
+    fn every_run_lowers_each_called_method_once() {
+        let src = "class T { static int f(int n) { int s = 0; for (int i = 0; i < n; i++) { s = s + i; } return s; } static void main() { int t = 0; for (int i = 0; i < 50; i++) { t = t + T.f(i); } System.out.println(t); } }";
+        let image = Image::build(&mjava::parse(src).unwrap()).unwrap();
         assert!(
-            !Arc::ptr_eq(&main_before, &lookup_or_lower(&image, main)),
-            "tier-up must re-lower the installed method"
+            !dump_fused(&image, image.main())
+                .iter()
+                .any(|op| op.starts_with("InlineCall")),
+            "f runs in its own frame"
         );
-        assert!(
-            Arc::ptr_eq(&f_before, &lookup_or_lower(&image, f)),
-            "an untouched method keeps its cached body"
-        );
-        let o = run(&image, &ExecConfig::default());
-        assert_eq!(o.output, vec!["9"]);
+        // Other test threads lower too, so one run's count can only read
+        // high; the smallest of many is the run's own.
+        let lowerings = |_| {
+            let before = cache_stats().misses;
+            let o = run(&image, &ExecConfig::default());
+            assert_eq!(o.stats.calls, 51, "main and 50 calls of f");
+            cache_stats().misses - before
+        };
+        assert_eq!((0..100).map(lowerings).min(), Some(2), "main and f");
     }
 
     /// Leaf inlining must be invisible in the step/fuel accounting: every
@@ -3140,11 +3048,10 @@ mod tests {
         }
     }
 
-    /// Inlining actually fires on tiny leaf calls, and installing new code
-    /// into the leaf re-lowers its callers (the cache key covers direct
-    /// callee fingerprints), so stale inlined bodies never execute.
+    /// Inlining actually fires on tiny leaf calls, and after installing new
+    /// code into the leaf the caller's next run inlines the new body.
     #[test]
-    fn leaf_inlining_fires_and_is_invalidated_by_install_code() {
+    fn leaf_inlining_fires_and_follows_install_code() {
         use crate::code::{Code, Instr};
         let src = "class T { static int one() { return 1; } static void main() { System.out.println(T.one() + T.one()); } }";
         let mut image = Image::build(&mjava::parse(src).unwrap()).unwrap();
@@ -3166,7 +3073,7 @@ mod tests {
             },
         );
         let o2 = run(&image, &ExecConfig::default());
-        assert_eq!(o2.output, vec!["18"], "caller re-lowered with new body");
+        assert_eq!(o2.output, vec!["18"], "caller lowered against the new body");
         assert_eq!(o2, interp::run(&image, &ExecConfig::default()));
     }
 
