@@ -4,20 +4,22 @@
 //! Each submitted campaign becomes a **tenant**: a directory under
 //! `DATA_DIR/campaigns/<id>/` holding its immutable `spec.json`, an
 //! atomically-rewritten `status.json`, and the campaign's JSONL journal.
-//! A tenant runs on its own driver thread, so the per-thread machinery
-//! the CLI relies on — the `jtelemetry` session workers attribute their
-//! metrics to, and the thread-local cancel flag
-//! ([`mopfuzzer::interrupt::set_local`]) — isolates tenants from each
-//! other for free. Plain tenants share the one process-wide work pool;
+//! A tenant runs on whichever driver thread takes it from the admission
+//! FIFO, under a `jtelemetry` session and a thread-local cancel flag
+//! ([`mopfuzzer::interrupt::set_local`]) installed for that run alone,
+//! so the per-thread machinery the CLI relies on isolates tenants from
+//! each other. Plain tenants share the one process-wide work pool;
 //! each asks it for `jobs` capacity exactly as a standalone run would, so
 //! pool capacity is the **max** of the plain tenants' worker counts,
 //! never the sum. Corpus tenants run serially on their driver threads and
 //! add no pool capacity.
 //!
-//! The scheduler itself is a counting semaphore: at most `max_active`
-//! campaigns run concurrently, the rest queue FIFO on their driver
-//! threads. Journals are written by the exact same library calls the
-//! CLI makes with the same defaults, which is what keeps a daemon
+//! The scheduler is one FIFO of tenants behind one mutex, served by at
+//! most `max_active` driver threads. A driver starts when a tenant is
+//! queued and a slot is free, runs tenants one after another, and exits
+//! once the FIFO is empty or the registry drains, so a queued tenant
+//! holds no thread. Journals are written by the exact same library calls
+//! the CLI makes with the same defaults, which is what keeps a daemon
 //! campaign's journal byte-identical to `mopfuzzer --rounds .. --rng ..
 //! --journal ..` at the same seed and worker counts (test-enforced).
 //!
@@ -34,11 +36,11 @@ use mopfuzzer::{
     resume_campaign_extended, run_campaign_with_journal_observed, run_corpus_campaign,
     CampaignConfig, CampaignObserver, CampaignResult, CorpusOptions, SupervisorConfig, Variant,
 };
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// File names inside a tenant directory.
 pub const SPEC_FILE: &str = "spec.json";
@@ -222,6 +224,20 @@ pub struct CampaignStatus {
 }
 
 impl CampaignStatus {
+    fn queued(id: String, spec: &CampaignSpec, dir: &Path) -> CampaignStatus {
+        CampaignStatus {
+            id,
+            state: State::Queued,
+            rounds: spec.rounds,
+            jobs: spec.jobs,
+            completed_rounds: 0,
+            bugs: 0,
+            executions: 0,
+            error: None,
+            journal: dir.join(JOURNAL_FILE),
+        }
+    }
+
     pub fn to_json(&self) -> String {
         let error = self.error.as_deref().map_or("null".to_string(), quote);
         format!(
@@ -270,7 +286,7 @@ struct Tenant {
     dir: PathBuf,
     spec: CampaignSpec,
     /// The driver thread's stop flag (installed as the thread-local
-    /// interrupt); set by cancel and by drain.
+    /// interrupt while it runs this tenant); set by cancel and by drain.
     stop: Arc<AtomicBool>,
     /// Distinguishes a cancel (terminal) from a drain (resumable).
     cancelled: AtomicBool,
@@ -279,6 +295,18 @@ struct Tenant {
 }
 
 impl Tenant {
+    fn new(dir: PathBuf, spec: CampaignSpec, status: CampaignStatus) -> Arc<Tenant> {
+        Arc::new(Tenant {
+            id: status.id.clone(),
+            dir,
+            spec,
+            stop: Arc::new(AtomicBool::new(false)),
+            cancelled: AtomicBool::new(false),
+            status: Mutex::new(status),
+            metrics: Mutex::new(None),
+        })
+    }
+
     fn persist_status(&self) {
         let (text, path) = {
             let status = self.status.lock().unwrap_or_else(|e| e.into_inner());
@@ -293,22 +321,25 @@ impl Tenant {
             eprintln!("warning: cannot persist {}: {e}", path.display());
         }
     }
-
-    fn set_state(&self, state: State) {
-        self.status.lock().unwrap_or_else(|e| e.into_inner()).state = state;
-        self.persist_status();
-    }
 }
 
-/// The registry: all tenants, the admission semaphore, and the driver
+/// The tenants waiting for a driver, in submission order, and the
+/// number of driver threads alive to run them.
+#[derive(Default)]
+struct Queue {
+    waiting: VecDeque<Arc<Tenant>>,
+    drivers: usize,
+}
+
+/// The registry: all tenants, the admission FIFO, and the driver
 /// threads.
 pub struct Registry {
     campaigns_dir: PathBuf,
     max_active: usize,
     draining: AtomicBool,
-    active: Mutex<usize>,
-    admitted: Condvar,
+    queue: Mutex<Queue>,
     tenants: Mutex<Vec<Arc<Tenant>>>,
+    /// Live drivers; finished ones are dropped at the next spawn.
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -325,8 +356,7 @@ impl Registry {
             campaigns_dir,
             max_active: max_active.max(1),
             draining: AtomicBool::new(false),
-            active: Mutex::new(0),
-            admitted: Condvar::new(),
+            queue: Mutex::default(),
             tenants: Mutex::new(Vec::new()),
             threads: Mutex::new(Vec::new()),
         });
@@ -355,17 +385,7 @@ impl Registry {
             let mut status = match std::fs::read_to_string(dir.join(STATUS_FILE)) {
                 Ok(text) => CampaignStatus::from_json(&text)
                     .map_err(|e| format!("{}: {e}", dir.join(STATUS_FILE).display()))?,
-                Err(_) => CampaignStatus {
-                    id: id.clone(),
-                    state: State::Queued,
-                    rounds: spec.rounds,
-                    jobs: spec.jobs,
-                    completed_rounds: 0,
-                    bugs: 0,
-                    executions: 0,
-                    error: None,
-                    journal: dir.join(JOURNAL_FILE),
-                },
+                Err(_) => CampaignStatus::queued(id.clone(), &spec, &dir),
             };
             // Status files from older daemons carry no worker count; the
             // spec is the authority.
@@ -378,28 +398,20 @@ impl Registry {
                     spec.jobs
                 );
             }
-            let tenant = Arc::new(Tenant {
-                id,
-                dir,
-                spec,
-                stop: Arc::new(AtomicBool::new(false)),
-                cancelled: AtomicBool::new(false),
-                status: Mutex::new(status),
-                metrics: Mutex::new(None),
-            });
+            let tenant = Tenant::new(dir, spec, status);
             self.tenants
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push(tenant.clone());
             if incomplete && resume {
-                self.spawn_driver(tenant);
+                self.schedule(tenant);
             }
         }
         Ok(())
     }
 
     /// Submits a new campaign: persists its spec and queued status, then
-    /// hands it to a driver thread gated by the admission semaphore.
+    /// queues it for the next free driver.
     pub fn submit(self: &Arc<Registry>, spec: CampaignSpec) -> Result<CampaignStatus, String> {
         let tenant = {
             let mut tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
@@ -415,26 +427,8 @@ impl Registry {
                 .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
             std::fs::write(dir.join(SPEC_FILE), spec.to_json() + "\n")
                 .map_err(|e| format!("cannot write {}: {e}", dir.join(SPEC_FILE).display()))?;
-            let status = CampaignStatus {
-                id: id.clone(),
-                state: State::Queued,
-                rounds: spec.rounds,
-                jobs: spec.jobs,
-                completed_rounds: 0,
-                bugs: 0,
-                executions: 0,
-                error: None,
-                journal: dir.join(JOURNAL_FILE),
-            };
-            let tenant = Arc::new(Tenant {
-                id,
-                dir,
-                spec,
-                stop: Arc::new(AtomicBool::new(false)),
-                cancelled: AtomicBool::new(false),
-                status: Mutex::new(status),
-                metrics: Mutex::new(None),
-            });
+            let status = CampaignStatus::queued(id, &spec, &dir);
+            let tenant = Tenant::new(dir, spec, status);
             tenants.push(tenant.clone());
             tenant
         };
@@ -444,20 +438,50 @@ impl Registry {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone();
-        self.spawn_driver(tenant);
+        self.schedule(tenant);
         Ok(status)
     }
 
-    fn spawn_driver(self: &Arc<Registry>, tenant: Arc<Tenant>) {
+    /// Queues `tenant`, starting a driver for it while fewer than
+    /// `max_active` are alive.
+    fn schedule(self: &Arc<Registry>, tenant: Arc<Tenant>) {
+        let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        queue.waiting.push_back(tenant);
+        if queue.drivers == self.max_active {
+            return;
+        }
         let registry = self.clone();
         let handle = std::thread::Builder::new()
-            .name(format!("campaign-{}", tenant.id))
-            .spawn(move || drive(registry, tenant))
+            .name("campaign-driver".to_string())
+            .spawn(move || drive(&registry))
             .expect("spawn campaign driver thread");
-        self.threads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(handle);
+        queue.drivers += 1;
+        drop(queue);
+        let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
+        threads.retain(|handle| !handle.is_finished());
+        threads.push(handle);
+    }
+
+    /// The next tenant for a driver, marked running, or `None` (and one
+    /// driver fewer) once the FIFO is empty or the registry drains.
+    fn next_tenant(&self) -> Option<Arc<Tenant>> {
+        let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        let next = if self.draining.load(Ordering::SeqCst) {
+            None
+        } else {
+            queue.waiting.pop_front()
+        };
+        match &next {
+            Some(tenant) => {
+                tenant
+                    .status
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .state = State::Running
+            }
+            None => queue.drivers -= 1,
+        }
+        next
     }
 
     /// Every tenant's status, in id order.
@@ -488,31 +512,28 @@ impl Registry {
             .map(|t| t.status.lock().unwrap_or_else(|e| e.into_inner()).clone())
     }
 
-    /// Requests a graceful cancel: the campaign stops at its next round
-    /// boundary and lands in `cancelled`. Returns the status as of the
-    /// request (the transition is asynchronous); `None` for unknown ids.
+    /// Cancels a campaign. A queued one leaves the FIFO and is
+    /// `cancelled` at once; a running one stops at its next round
+    /// boundary and then lands in `cancelled`. Returns the status as of
+    /// the request; `None` for unknown ids.
     pub fn cancel(&self, id: &str) -> Option<CampaignStatus> {
         let tenant = self.tenant(id)?;
-        let queued = {
-            let status = tenant.status.lock().unwrap_or_else(|e| e.into_inner());
-            if status.state.terminal() {
-                return Some(status.clone());
+        let (status, dequeued) = {
+            let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut status = tenant.status.lock().unwrap_or_else(|e| e.into_inner());
+            let dequeued = status.state == State::Queued;
+            if dequeued {
+                queue.waiting.retain(|t| !Arc::ptr_eq(t, &tenant));
+                status.state = State::Cancelled;
+            } else if !status.state.terminal() {
+                tenant.cancelled.store(true, Ordering::SeqCst);
+                tenant.stop.store(true, Ordering::SeqCst);
             }
-            status.state == State::Queued
+            (status.clone(), dequeued)
         };
-        tenant.cancelled.store(true, Ordering::SeqCst);
-        tenant.stop.store(true, Ordering::SeqCst);
-        if queued {
-            // Not running yet: the driver thread will observe the flag
-            // before its first round, but report the outcome eagerly.
-            tenant.set_state(State::Cancelled);
+        if dequeued {
+            tenant.persist_status();
         }
-        self.admitted.notify_all();
-        let status = tenant
-            .status
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
         Some(status)
     }
 
@@ -535,7 +556,8 @@ impl Registry {
 
     /// Begins a drain: running campaigns stop at their next round
     /// boundary (state `interrupted`, journal flushed, resumable),
-    /// queued ones stay `queued`. Does not wait; follow with [`join`].
+    /// queued ones stay `queued` in the FIFO, which no driver takes
+    /// from any more. Does not wait; follow with [`join`].
     ///
     /// [`join`]: Registry::join
     pub fn drain(&self) {
@@ -548,12 +570,11 @@ impl Registry {
         {
             tenant.stop.store(true, Ordering::SeqCst);
         }
-        self.admitted.notify_all();
     }
 
-    /// Waits for every driver thread to finish (with [`drain`] first,
+    /// Waits for the live driver threads to finish (with [`drain`] first,
     /// that is one round per running tenant; without it, the natural end
-    /// of every campaign).
+    /// of every queued and running campaign).
     ///
     /// [`drain`]: Registry::drain
     pub fn join(&self) {
@@ -562,31 +583,6 @@ impl Registry {
         for handle in threads {
             let _ = handle.join();
         }
-    }
-
-    /// Waits for an admission slot. Returns `false` when the registry
-    /// started draining (or the tenant was stopped) before a slot opened.
-    fn admit(&self, tenant: &Tenant) -> bool {
-        let mut active: MutexGuard<usize> = self.active.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if self.draining.load(Ordering::SeqCst) || tenant.stop.load(Ordering::SeqCst) {
-                return false;
-            }
-            if *active < self.max_active {
-                *active += 1;
-                return true;
-            }
-            active = self
-                .admitted
-                .wait_timeout(active, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-    }
-
-    fn release(&self) {
-        *self.active.lock().unwrap_or_else(|e| e.into_inner()) -= 1;
-        self.admitted.notify_all();
     }
 }
 
@@ -615,47 +611,42 @@ impl CampaignObserver for RoundSink<'_> {
     }
 }
 
-/// The driver thread: admission, telemetry session, cancel flag, the
-/// campaign itself, and the terminal state transition.
-fn drive(registry: Arc<Registry>, tenant: Arc<Tenant>) {
-    if !registry.admit(&tenant) {
-        if tenant.cancelled.load(Ordering::SeqCst) {
-            tenant.set_state(State::Cancelled);
+/// A driver thread: takes tenants from the FIFO until it is empty or the
+/// registry drains, and runs each under its own telemetry session and
+/// cancel flag through to its terminal state transition.
+fn drive(registry: &Registry) {
+    while let Some(tenant) = registry.next_tenant() {
+        tenant.persist_status();
+        jtelemetry::install(jtelemetry::Session::new());
+        mopfuzzer::interrupt::set_local(tenant.stop.clone());
+        let outcome = run_tenant_campaign(&tenant);
+        mopfuzzer::interrupt::clear_local();
+        if let Some(session) = jtelemetry::take() {
+            *tenant.metrics.lock().unwrap_or_else(|e| e.into_inner()) = Some(session.snapshot());
         }
-        // A drain leaves the tenant `queued`: `serve --resume` starts it.
-        return;
-    }
-    tenant.set_state(State::Running);
-    jtelemetry::install(jtelemetry::Session::new());
-    mopfuzzer::interrupt::set_local(tenant.stop.clone());
-    let outcome = run_tenant_campaign(&tenant);
-    mopfuzzer::interrupt::clear_local();
-    if let Some(session) = jtelemetry::take() {
-        *tenant.metrics.lock().unwrap_or_else(|e| e.into_inner()) = Some(session.snapshot());
-    }
-    {
-        let mut status = tenant.status.lock().unwrap_or_else(|e| e.into_inner());
-        match &outcome {
-            Err(e) => {
-                status.state = State::Failed;
-                status.error = Some(e.clone());
-            }
-            Ok(result) => {
-                status.completed_rounds = result.completed_rounds();
-                status.bugs = result.bugs.len();
-                status.executions = result.executions;
-                status.state = if !result.interrupted {
-                    State::Done
-                } else if tenant.cancelled.load(Ordering::SeqCst) {
-                    State::Cancelled
-                } else {
-                    State::Interrupted
-                };
+        {
+            let mut status = tenant.status.lock().unwrap_or_else(|e| e.into_inner());
+            match &outcome {
+                Err(e) => {
+                    status.state = State::Failed;
+                    status.error = Some(e.clone());
+                }
+                Ok(result) => {
+                    status.completed_rounds = result.completed_rounds();
+                    status.bugs = result.bugs.len();
+                    status.executions = result.executions;
+                    status.state = if !result.interrupted {
+                        State::Done
+                    } else if tenant.cancelled.load(Ordering::SeqCst) {
+                        State::Cancelled
+                    } else {
+                        State::Interrupted
+                    };
+                }
             }
         }
+        tenant.persist_status();
     }
-    tenant.persist_status();
-    registry.release();
 }
 
 /// Builds the exact [`CampaignConfig`] the CLI builds for
@@ -710,6 +701,95 @@ fn run_tenant_campaign(tenant: &Tenant) -> Result<CampaignResult, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        use std::sync::atomic::AtomicU64;
+        static N: AtomicU64 = AtomicU64::new(0);
+        let n = N.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "mopfuzzerd-registry-{tag}-{}-{n}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn plain(rounds: usize) -> CampaignSpec {
+        CampaignSpec {
+            rounds,
+            rng_seed: 0,
+            iterations: 2,
+            corpus: None,
+            jobs: 1,
+            round_timeout_ms: None,
+        }
+    }
+
+    fn state(registry: &Registry, id: &str) -> State {
+        registry.status(id).expect("known tenant").state
+    }
+
+    fn wait_for(registry: &Registry, id: &str, want: State) {
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while state(registry, id) != want {
+            assert!(Instant::now() < deadline, "{id} never became {want:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    fn waiting(registry: &Registry) -> Vec<String> {
+        let queue = registry.queue.lock().unwrap();
+        queue.waiting.iter().map(|t| t.id.clone()).collect()
+    }
+
+    /// Driver threads alive, checked against the handles kept for them.
+    fn drivers(registry: &Registry) -> usize {
+        let drivers = registry.queue.lock().unwrap().drivers;
+        assert!(registry.threads.lock().unwrap().len() <= registry.max_active);
+        drivers
+    }
+
+    /// At `max_active` 1, one driver serves the FIFO in submission order;
+    /// a cancelled queued tenant never runs, and a drain leaves the queue
+    /// in place with no driver waiting on it.
+    #[test]
+    fn one_driver_serves_the_fifo_in_submission_order() {
+        let dir = temp_dir("fifo");
+        let registry = Registry::open(&dir, 1, false).unwrap();
+        let forever = 1_000_000;
+        for rounds in [forever, 1, forever, forever] {
+            registry.submit(plain(rounds)).unwrap();
+        }
+        wait_for(&registry, "c0001", State::Running);
+        assert_eq!(waiting(&registry), ["c0002", "c0003", "c0004"]);
+        assert_eq!(drivers(&registry), 1);
+
+        let cancelled = registry.cancel("c0003").unwrap();
+        assert_eq!(cancelled.state, State::Cancelled);
+        assert_eq!(waiting(&registry), ["c0002", "c0004"]);
+
+        // The driver moves on in order: c0002's one round, then c0004.
+        registry.cancel("c0001").unwrap();
+        wait_for(&registry, "c0004", State::Running);
+        assert_eq!(state(&registry, "c0001"), State::Cancelled);
+        assert_eq!(state(&registry, "c0002"), State::Done);
+        assert_eq!(drivers(&registry), 1);
+
+        registry.submit(plain(forever)).unwrap();
+        registry.drain();
+        registry.join();
+        assert_eq!(state(&registry, "c0004"), State::Interrupted);
+        assert_eq!(state(&registry, "c0005"), State::Queued);
+        assert_eq!(waiting(&registry), ["c0005"]);
+        assert_eq!(drivers(&registry), 0);
+        assert_eq!(state(&registry, "c0003"), State::Cancelled);
+        for id in ["c0003", "c0005"] {
+            let journal = dir.join(CAMPAIGNS_DIR).join(id).join(JOURNAL_FILE);
+            assert!(!journal.exists(), "{id} never ran");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn spec_defaults_mirror_the_cli() {
