@@ -9,7 +9,7 @@
 //! queued, and a later `--resume` daemon picks all of them back up
 //! bit-identically.
 
-use mopfuzzerd::{Config, Server};
+use mopfuzzerd::{Config, Server, MAX_QUEUED};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -40,6 +40,7 @@ fn install_signal_handlers() {
 fn install_signal_handlers() {}
 
 fn print_usage() {
+    let max_active = Config::new("", "").max_active;
     eprintln!(
         "mopfuzzerd — the MopFuzzer fleet daemon\n\
          \n\
@@ -49,13 +50,15 @@ fn print_usage() {
          OPTIONS:\n\
            --data-dir DIR    root for campaign state (specs, statuses, journals)\n\
            --listen ADDR     bind address (default 127.0.0.1:7077; port 0 = any free port)\n\
-           --max-active N    campaigns running concurrently; others queue FIFO (default 4)\n\
+           --max-active N    campaigns running concurrently; others queue FIFO, at most\n\
+                             {MAX_QUEUED} of them (default {max_active})\n\
            --resume          re-adopt incomplete campaigns from a previous daemon:\n\
                              resume their journals bit-identically, start queued ones\n\
          \n\
          API:\n\
            POST /campaigns               submit {{\"rounds\":R[,\"seed\":S,\"iterations\":I,\n\
-                                         \"corpus\":DIR,\"jobs\":J,\"round_timeout_ms\":MS]}}\n\
+                                         \"corpus\":DIR,\"jobs\":J,\"round_timeout_ms\":MS]}};\n\
+                                         503 while {MAX_QUEUED} campaigns already queue\n\
            GET  /campaigns[/{{id}}]        status (state, round progress, bugs, journal)\n\
            POST /campaigns/{{id}}/cancel   stop one campaign at its next round boundary\n\
            GET  /metrics                 Prometheus page: aggregate + per-campaign labels\n\
@@ -68,16 +71,14 @@ fn print_usage() {
 }
 
 fn parse_config(args: &[String]) -> Result<Config, String> {
-    let mut listen = "127.0.0.1:7077".to_string();
+    let mut config = Config::new("127.0.0.1:7077", "");
     let mut data_dir = None;
-    let mut max_active = 4usize;
-    let mut resume = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--resume" => resume = true,
+            "--resume" => config.resume = true,
             "--listen" => {
-                listen = it
+                config.listen = it
                     .next()
                     .ok_or_else(|| "--listen needs a value".to_string())?
                     .clone();
@@ -90,25 +91,22 @@ fn parse_config(args: &[String]) -> Result<Config, String> {
                 );
             }
             "--max-active" => {
-                max_active = it
+                config.max_active = it
                     .next()
                     .ok_or_else(|| "--max-active needs a value".to_string())?
                     .parse()
                     .map_err(|_| "bad --max-active".to_string())?;
-                if max_active == 0 {
+                if config.max_active == 0 {
                     return Err("bad --max-active (must be >= 1)".to_string());
                 }
             }
             other => return Err(format!("unknown option {other}")),
         }
     }
-    let data_dir = data_dir.ok_or_else(|| "--data-dir is required".to_string())?;
-    Ok(Config {
-        listen,
-        data_dir: data_dir.into(),
-        max_active,
-        resume,
-    })
+    config.data_dir = data_dir
+        .ok_or_else(|| "--data-dir is required".to_string())?
+        .into();
+    Ok(config)
 }
 
 fn main() -> ExitCode {

@@ -9,11 +9,12 @@
 //! | `GET /campaigns` | every campaign's status, id-ordered |
 //! | `GET /campaigns/{id}` | one campaign's status |
 //! | `POST /campaigns/{id}/cancel` | stop one campaign at its next round boundary |
-//! | `GET /metrics` | live Prometheus page aggregated across tenants, plus per-tenant `{campaign="id"}` samples |
+//! | `GET /metrics` | live Prometheus page aggregated across tenants, plus `{campaign="id"}` samples for running and recently finished ones |
 //! | `GET /healthz` | liveness probe (`ok`) |
 //!
-//! Campaigns run on per-tenant driver threads, gated by a FIFO admission
-//! semaphore of `max_active` slots. Plain tenants multiplex onto the one
+//! Campaigns wait in one FIFO, at most [`MAX_QUEUED`] of them, and run on
+//! at most `max_active` driver threads, which exist only while there is
+//! work for them. Plain tenants multiplex onto the one
 //! process-wide work pool (capacity = the max of the plain tenants'
 //! `jobs`, never the sum); corpus tenants run serially and add no pool
 //! capacity. Each campaign journals under its own tenant directory using
@@ -45,6 +46,11 @@ use std::time::Duration;
 /// thread answers `503` itself and closes the connection, so a flood of
 /// idle clients costs no more than this many threads.
 pub const MAX_CONNECTIONS: usize = 64;
+
+/// Campaigns that may wait for a driver at once. Past the cap
+/// `POST /campaigns` is answered `503` before anything is written, so a
+/// flood of submissions costs no more than this many queued tenants.
+pub const MAX_QUEUED: usize = 256;
 
 /// Daemon configuration (the parsed form of `mopfuzzerd --listen ..
 /// --data-dir .. [--max-active N] [--resume]`).
@@ -217,10 +223,7 @@ pub fn route(registry: &Arc<Registry>, request: &Request) -> (u16, &'static str,
     let method = request.method.as_str();
     match (method, request.path.as_str()) {
         ("GET", "/healthz") => (200, TEXT, "ok\n".to_string()),
-        ("GET", "/metrics") => {
-            let page = jtelemetry::export::prometheus_fleet(&registry.metrics());
-            (200, TEXT, page)
-        }
+        ("GET", "/metrics") => (200, TEXT, registry.metrics_page()),
         ("GET", "/campaigns") => {
             let statuses: Vec<String> = registry
                 .statuses()
@@ -229,12 +232,14 @@ pub fn route(registry: &Arc<Registry>, request: &Request) -> (u16, &'static str,
                 .collect();
             (200, JSON, format!("[{}]\n", statuses.join(",")))
         }
-        ("POST", "/campaigns") => {
-            match CampaignSpec::from_json(&request.body).and_then(|spec| registry.submit(spec)) {
+        ("POST", "/campaigns") => match CampaignSpec::from_json(&request.body) {
+            Err(e) => (400, JSON, error_body(&e)),
+            // The spec is fine; the daemon cannot take it now.
+            Ok(spec) => match registry.submit(spec) {
                 Ok(status) => (201, JSON, status.to_json() + "\n"),
-                Err(e) => (400, JSON, error_body(&e)),
-            }
-        }
+                Err(e) => (503, JSON, error_body(&e)),
+            },
+        },
         (_, path) => {
             let Some(rest) = path.strip_prefix("/campaigns/") else {
                 return (404, JSON, error_body("no such route"));
@@ -367,6 +372,38 @@ mod tests {
         registry.join();
         let (_, body) = get(&registry, "/campaigns/c0002");
         assert!(body.contains("\"state\":\"cancelled\""), "{body}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Queued tenants hold no thread, so the queue fills cheaply; the
+    /// submission past the cap gets a 503 and leaves nothing on disk.
+    #[test]
+    fn submissions_past_the_queue_cap_get_503() {
+        let dir = temp_dir("cap");
+        let registry = Registry::open(&dir, 1, false).unwrap();
+        let forever = "{\"rounds\": 1000000, \"iterations\": 2, \"jobs\": 1}";
+        assert_eq!(post(&registry, "/campaigns", forever).0, 201);
+        let deadline = std::time::Instant::now() + Duration::from_secs(120);
+        while !get(&registry, "/campaigns/c0001").1.contains("\"running\"") {
+            assert!(std::time::Instant::now() < deadline, "c0001 never ran");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for _ in 0..MAX_QUEUED {
+            assert_eq!(post(&registry, "/campaigns", forever).0, 201);
+        }
+        let (status, body) = post(&registry, "/campaigns", forever);
+        assert_eq!(status, 503, "{body}");
+        assert!(body.contains("already queued"), "{body}");
+        let tenant_dirs = std::fs::read_dir(dir.join(CAMPAIGNS_DIR)).unwrap().count();
+        assert_eq!(tenant_dirs, 1 + MAX_QUEUED);
+
+        for status in registry.statuses() {
+            registry.cancel(&status.id).unwrap();
+        }
+        registry.join();
+        let statuses = registry.statuses();
+        assert_eq!(statuses.len(), 1 + MAX_QUEUED);
+        assert!(statuses.iter().all(|s| s.state == State::Cancelled));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -291,7 +291,7 @@ struct Tenant {
     /// Distinguishes a cancel (terminal) from a drain (resumable).
     cancelled: AtomicBool,
     status: Mutex<CampaignStatus>,
-    metrics: Mutex<Option<MetricsSnapshot>>,
+    metrics: Mutex<Option<Arc<MetricsSnapshot>>>,
 }
 
 impl Tenant {
@@ -331,14 +331,26 @@ struct Queue {
     drivers: usize,
 }
 
-/// The registry: all tenants, the admission FIFO, and the driver
-/// threads.
+/// Finished tenants whose snapshots `/metrics` still labels.
+const RECENT_FINISHED: usize = 16;
+
+/// The telemetry of tenants whose drivers are done with them.
+struct Finished {
+    /// The [`RECENT_FINISHED`] that finished last, oldest first.
+    recent: VecDeque<Arc<Tenant>>,
+    /// Every older one's snapshot, merged: only the aggregate shows it.
+    retired: Arc<MetricsSnapshot>,
+}
+
+/// The registry: all tenants, the admission FIFO, the driver threads,
+/// and the telemetry of finished tenants.
 pub struct Registry {
     campaigns_dir: PathBuf,
     max_active: usize,
     draining: AtomicBool,
     queue: Mutex<Queue>,
     tenants: Mutex<Vec<Arc<Tenant>>>,
+    finished: Mutex<Finished>,
     /// Live drivers; finished ones are dropped at the next spawn.
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -358,9 +370,18 @@ impl Registry {
             draining: AtomicBool::new(false),
             queue: Mutex::default(),
             tenants: Mutex::new(Vec::new()),
+            finished: Mutex::new(Finished {
+                recent: VecDeque::new(),
+                retired: Arc::new(MetricsSnapshot::empty()),
+            }),
             threads: Mutex::new(Vec::new()),
         });
-        registry.adopt_existing(resume)?;
+        if let Err(e) = registry.adopt_existing(resume) {
+            // Stop what was already re-adopted, resumably.
+            registry.drain();
+            registry.join();
+            return Err(e);
+        }
         Ok(registry)
     }
 
@@ -404,62 +425,85 @@ impl Registry {
                 .unwrap_or_else(|e| e.into_inner())
                 .push(tenant.clone());
             if incomplete && resume {
-                self.schedule(tenant);
+                self.schedule(tenant)?;
             }
         }
         Ok(())
     }
 
     /// Submits a new campaign: persists its spec and queued status, then
-    /// queues it for the next free driver.
+    /// queues it for the next free driver. Refused, with nothing written,
+    /// while [`MAX_QUEUED`] campaigns already wait.
+    ///
+    /// [`MAX_QUEUED`]: crate::MAX_QUEUED
     pub fn submit(self: &Arc<Registry>, spec: CampaignSpec) -> Result<CampaignStatus, String> {
-        let tenant = {
-            let mut tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
-            let next = tenants
-                .iter()
-                .filter_map(|t| t.id.strip_prefix('c').and_then(|n| n.parse::<u64>().ok()))
-                .max()
-                .unwrap_or(0)
-                + 1;
-            let id = format!("c{next:04}");
-            let dir = self.campaigns_dir.join(&id);
-            std::fs::create_dir_all(&dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-            std::fs::write(dir.join(SPEC_FILE), spec.to_json() + "\n")
-                .map_err(|e| format!("cannot write {}: {e}", dir.join(SPEC_FILE).display()))?;
-            let status = CampaignStatus::queued(id, &spec, &dir);
-            let tenant = Tenant::new(dir, spec, status);
-            tenants.push(tenant.clone());
-            tenant
-        };
-        tenant.persist_status();
-        let status = tenant
-            .status
+        // Holding `tenants` serializes submissions, so the cap is exact.
+        let mut tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
+        let queued = self
+            .queue
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        self.schedule(tenant);
+            .waiting
+            .len();
+        if queued >= crate::MAX_QUEUED {
+            return Err(format!(
+                "{queued} campaigns are already queued; retry later"
+            ));
+        }
+        let next = tenants
+            .iter()
+            .filter_map(|t| t.id.strip_prefix('c').and_then(|n| n.parse::<u64>().ok()))
+            .max()
+            .unwrap_or(0)
+            + 1;
+        let id = format!("c{next:04}");
+        let dir = self.campaigns_dir.join(&id);
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        std::fs::write(dir.join(SPEC_FILE), spec.to_json() + "\n")
+            .map_err(|e| format!("cannot write {}: {e}", dir.join(SPEC_FILE).display()))?;
+        let status = CampaignStatus::queued(id, &spec, &dir);
+        let tenant = Tenant::new(dir, spec, status.clone());
+        tenants.push(tenant.clone());
+        tenant.persist_status();
+        if let Err(e) = self.schedule(tenant.clone()) {
+            {
+                let mut status = tenant.status.lock().unwrap_or_else(|e| e.into_inner());
+                status.state = State::Failed;
+                status.error = Some(e.clone());
+            }
+            tenant.persist_status();
+            return Err(e);
+        }
         Ok(status)
     }
 
     /// Queues `tenant`, starting a driver for it while fewer than
-    /// `max_active` are alive.
-    fn schedule(self: &Arc<Registry>, tenant: Arc<Tenant>) {
+    /// `max_active` are alive. When the OS refuses the thread, `tenant`
+    /// leaves the queue again and the error is returned.
+    fn schedule(self: &Arc<Registry>, tenant: Arc<Tenant>) -> Result<(), String> {
         let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         queue.waiting.push_back(tenant);
         if queue.drivers == self.max_active {
-            return;
+            return Ok(());
         }
         let registry = self.clone();
-        let handle = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("campaign-driver".to_string())
-            .spawn(move || drive(&registry))
-            .expect("spawn campaign driver thread");
+            .spawn(move || drive(&registry));
+        let handle = match spawned {
+            Ok(handle) => handle,
+            Err(e) => {
+                queue.waiting.pop_back();
+                return Err(format!("cannot start a campaign driver thread: {e}"));
+            }
+        };
         queue.drivers += 1;
         drop(queue);
         let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
         threads.retain(|handle| !handle.is_finished());
         threads.push(handle);
+        Ok(())
     }
 
     /// The next tenant for a driver, marked running, or `None` (and one
@@ -537,21 +581,51 @@ impl Registry {
         Some(status)
     }
 
-    /// The latest telemetry snapshot of every tenant that has produced
-    /// one, for the aggregated `/metrics` page.
-    pub fn metrics(&self) -> Vec<(String, MetricsSnapshot)> {
-        self.tenants
+    /// The fleet `/metrics` page: the aggregate over every tenant that
+    /// has run, then per-tenant samples for the running ones and the
+    /// [`RECENT_FINISHED`] that finished last.
+    pub fn metrics_page(&self) -> String {
+        let tenants = self
+            .tenants
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .filter_map(|t| {
-                t.metrics
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clone()
-                    .map(|snap| (t.id.clone(), snap))
-            })
-            .collect()
+            .clone();
+        // Under `finished`, so no snapshot moves into `retired` meanwhile.
+        let (retired, live) = {
+            let finished = self.finished.lock().unwrap_or_else(|e| e.into_inner());
+            let live: Vec<(&str, Arc<MetricsSnapshot>)> = tenants
+                .iter()
+                .filter_map(|t| {
+                    let snap = t
+                        .metrics
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .clone()?;
+                    Some((t.id.as_str(), snap))
+                })
+                .collect();
+            (finished.retired.clone(), live)
+        };
+        jtelemetry::export::prometheus_fleet(&retired, &live)
+    }
+
+    /// Keeps a finished tenant's snapshot on the per-tenant page while it
+    /// is among the [`RECENT_FINISHED`] that finished last; the oldest one
+    /// past that merges into the retired aggregate and frees its slot.
+    fn retire(&self, tenant: &Arc<Tenant>) {
+        let mut finished = self.finished.lock().unwrap_or_else(|e| e.into_inner());
+        finished.recent.push_back(tenant.clone());
+        if finished.recent.len() > RECENT_FINISHED {
+            let oldest = finished.recent.pop_front().expect("longer than the cap");
+            let snap = oldest
+                .metrics
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .take();
+            if let Some(snap) = snap {
+                Arc::make_mut(&mut finished.retired).merge(&snap);
+            }
+        }
     }
 
     /// Begins a drain: running campaigns stop at their next round
@@ -606,7 +680,7 @@ impl CampaignObserver for RoundSink<'_> {
                 .tenant
                 .metrics
                 .lock()
-                .unwrap_or_else(|e| e.into_inner()) = Some(snap);
+                .unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(snap));
         }
     }
 }
@@ -622,7 +696,8 @@ fn drive(registry: &Registry) {
         let outcome = run_tenant_campaign(&tenant);
         mopfuzzer::interrupt::clear_local();
         if let Some(session) = jtelemetry::take() {
-            *tenant.metrics.lock().unwrap_or_else(|e| e.into_inner()) = Some(session.snapshot());
+            *tenant.metrics.lock().unwrap_or_else(|e| e.into_inner()) =
+                Some(Arc::new(session.snapshot()));
         }
         {
             let mut status = tenant.status.lock().unwrap_or_else(|e| e.into_inner());
@@ -646,6 +721,7 @@ fn drive(registry: &Registry) {
             }
         }
         tenant.persist_status();
+        registry.retire(&tenant);
     }
 }
 
@@ -788,6 +864,60 @@ mod tests {
             let journal = dir.join(CAMPAIGNS_DIR).join(id).join(JOURNAL_FILE);
             assert!(!journal.exists(), "{id} never ran");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Past [`RECENT_FINISHED`] finished tenants, `/metrics` labels only
+    /// the latest ones, while its aggregate section reads as if every
+    /// tenant were still exported.
+    #[test]
+    fn finished_tenants_past_the_cap_fold_into_the_aggregate() {
+        let dir = temp_dir("retire");
+        let registry = Registry::open(&dir, 1, false).unwrap();
+        let total = RECENT_FINISHED + 5;
+        let mut snapshots = Vec::new();
+        for n in 1..=total {
+            jtelemetry::install(jtelemetry::Session::new());
+            jtelemetry::count(jtelemetry::Counter::VmExecutions, n as u64);
+            drop(jtelemetry::span("reduce", Vec::new));
+            let snap = jtelemetry::take().unwrap().snapshot();
+            let id = format!("c{n:04}");
+            let mut status = CampaignStatus::queued(id.clone(), &plain(1), &dir);
+            status.state = State::Done;
+            let tenant = Tenant::new(dir.join(&id), plain(1), status);
+            *tenant.metrics.lock().unwrap() = Some(Arc::new(snap.clone()));
+            registry.tenants.lock().unwrap().push(tenant.clone());
+            registry.retire(&tenant);
+            snapshots.push((id, snap));
+        }
+        let page = registry.metrics_page();
+        jtelemetry::schema::validate_prometheus(&page).unwrap();
+        let everyone: Vec<(&str, &MetricsSnapshot)> = snapshots
+            .iter()
+            .map(|(id, snap)| (id.as_str(), snap))
+            .collect();
+        let unbounded = jtelemetry::export::prometheus_fleet(&MetricsSnapshot::empty(), &everyone);
+        let aggregate = |page: &str| -> Vec<String> {
+            page.lines()
+                .filter(|line| !line.contains("{campaign="))
+                .map(str::to_string)
+                .collect()
+        };
+        assert_eq!(aggregate(&page), aggregate(&unbounded));
+        assert!(page.contains(&format!(
+            "\nmop_vm_executions {}\n",
+            total * (total + 1) / 2
+        )));
+        let labelled: Vec<&str> = snapshots
+            .iter()
+            .map(|(id, _)| id.as_str())
+            .filter(|id| page.contains(&format!("{{campaign=\"{id}\"}}")))
+            .collect();
+        let latest: Vec<&str> = everyone[total - RECENT_FINISHED..]
+            .iter()
+            .map(|(id, _)| *id)
+            .collect();
+        assert_eq!(labelled, latest);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
