@@ -777,19 +777,8 @@ fn run_tenant_campaign(tenant: &Tenant) -> Result<CampaignResult, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::temp_dir;
     use std::time::{Duration, Instant};
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        use std::sync::atomic::AtomicU64;
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "mopfuzzerd-registry-{tag}-{}-{n}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn plain(rounds: usize) -> CampaignSpec {
         CampaignSpec {
