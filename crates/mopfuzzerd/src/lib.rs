@@ -400,6 +400,9 @@ mod tests {
         for status in registry.statuses() {
             registry.cancel(&status.id).unwrap();
         }
+        // Draining first bounds the join: a cancelled tenant that still
+        // ran would otherwise run its million rounds.
+        registry.drain();
         registry.join();
         let statuses = registry.statuses();
         assert_eq!(statuses.len(), 1 + MAX_QUEUED);
