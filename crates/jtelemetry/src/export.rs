@@ -11,7 +11,6 @@ use crate::json::push_quoted;
 use crate::metrics::{MetricsSnapshot, SpanStat};
 use crate::trace::TraceEvent;
 use crate::Session;
-use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Prefix shared by every Prometheus metric family we emit.
@@ -235,17 +234,13 @@ pub fn prometheus(snap: &MetricsSnapshot) -> String {
 /// `--metrics-out`, not on the shared scrape page. `retired` is the
 /// merge of sessions that count toward the aggregate but no longer get
 /// a labelled section; the aggregate starts from it.
-pub fn prometheus_fleet<S: Borrow<MetricsSnapshot>>(
-    retired: &MetricsSnapshot,
-    tenants: &[(&str, S)],
-) -> String {
+pub fn prometheus_fleet(retired: &MetricsSnapshot, tenants: &[(&str, &MetricsSnapshot)]) -> String {
     let mut agg = retired.clone();
     for (_, snap) in tenants {
-        agg.merge(snap.borrow());
+        agg.merge(snap);
     }
     let mut out = prometheus(&agg);
     for (id, snap) in tenants {
-        let snap = snap.borrow();
         let label = prom_escape_label(id);
         out.push_str(&format!(
             "{PROM_PREFIX}elapsed_nanos{{campaign=\"{label}\"}} {}\n",
@@ -583,7 +578,7 @@ mod tests {
     fn fleet_page_validates_and_labels_each_campaign() {
         let a = sample_snapshot();
         let b = sample_snapshot();
-        let page = prometheus_fleet(&MetricsSnapshot::empty(), &[("c0001", a), ("c0002", b)]);
+        let page = prometheus_fleet(&MetricsSnapshot::empty(), &[("c0001", &a), ("c0002", &b)]);
         crate::schema::validate_prometheus(&page).expect("fleet page validates");
         // Aggregate samples sum across tenants...
         assert!(page.contains("\nmop_vm_executions 80\n"), "{page}");
@@ -596,7 +591,7 @@ mod tests {
 
     #[test]
     fn fleet_page_with_no_tenants_still_validates() {
-        let page = prometheus_fleet::<MetricsSnapshot>(&MetricsSnapshot::empty(), &[]);
+        let page = prometheus_fleet(&MetricsSnapshot::empty(), &[]);
         crate::schema::validate_prometheus(&page).expect("empty fleet page validates");
         assert!(page.contains("\nmop_vm_executions 0\n"));
         assert!(!page.contains("campaign="));

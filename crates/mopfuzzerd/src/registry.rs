@@ -606,6 +606,8 @@ impl Registry {
                 .collect();
             (finished.retired.clone(), live)
         };
+        let live: Vec<(&str, &MetricsSnapshot)> =
+            live.iter().map(|(id, snap)| (*id, &**snap)).collect();
         jtelemetry::export::prometheus_fleet(&retired, &live)
     }
 
