@@ -444,7 +444,7 @@ fn metrics_out_writes_valid_snapshots_and_prometheus() {
 /// comes from the program itself.
 #[test]
 fn metrics_out_names_a_span_for_every_layer() {
-    const LAYERS: [&str; 16] = [
+    const LAYERS: [&str; 17] = [
         "fuzz",
         "mutate",
         "obv",
@@ -461,6 +461,7 @@ fn metrics_out_names_a_span_for_every_layer() {
         "store_save",
         "journal_append",
         "interp_run",
+        "lower",
     ];
     let dir = std::env::temp_dir().join(format!("mop_cli_layers_{}", std::process::id()));
     let store = dir.join("store");

@@ -12,10 +12,11 @@
 //! config only picks the candidate entry; a hit needs full equality of the
 //! config and the image, so a digest collision costs a run, never a wrong
 //! outcome. A hit replays everything a run emits — the `interp_run` trace
-//! span, the run and step counters, and under `--profile` the per-opcode
-//! hit counts (sampled nanoseconds are wall-clock, so they are not
-//! replayed) — which keeps journals, traces and metrics byte-identical
-//! whether a run executed or was remembered.
+//! span with one `lower` span inside it per method the run lowered, the
+//! run and step counters, and under `--profile` the per-opcode hit counts
+//! (sampled nanoseconds are wall-clock, so they are not replayed) — which
+//! keeps journals, traces and metrics byte-identical whether a run
+//! executed or was remembered.
 
 use crate::image::{Fnv, Image};
 use crate::interp::{self, ExecConfig, ExecMode, OpcodeProfiler, Outcome};
@@ -41,6 +42,8 @@ struct Entry {
     /// The run's per-opcode hit counts; `Some` exactly when it was
     /// profiled, so an unprofiled entry never serves a profiled run.
     hits: Option<[u64; OPCODE_COUNT]>,
+    /// Methods the run lowered (always 0 on the interpreter).
+    lowerings: usize,
 }
 
 thread_local! {
@@ -72,9 +75,12 @@ fn run_keyed(
                     && e.config == *config
                     && e.image == *image
             })
-            .map(|e| (e.outcome.clone(), e.hits))
+            .map(|e| (e.outcome.clone(), e.hits, e.lowerings))
     });
-    if let Some((outcome, hits)) = hit {
+    if let Some((outcome, hits, lowerings)) = hit {
+        for _ in 0..lowerings {
+            drop(jtelemetry::span("lower", Vec::new));
+        }
         // The remembered run polled the watchdog, so its replay does too:
         // a round whose token is already cancelled still aborts.
         if outcome.stats.steps >= CANCEL_POLL_STEPS {
@@ -83,7 +89,7 @@ fn run_keyed(
         emit(&outcome, hits.as_ref().map(|h| (h, &[0; OPCODE_COUNT])));
         return outcome;
     }
-    let (outcome, hits) = execute(image, config, profiled);
+    let (outcome, hits, lowerings) = execute(image, config, profiled);
     let printed: usize = outcome.output.iter().map(String::len).sum();
     if printed <= MAX_OUTPUT_BYTES {
         MEMO.with(|memo| {
@@ -97,6 +103,7 @@ fn run_keyed(
                 image: image.clone(),
                 outcome: outcome.clone(),
                 hits,
+                lowerings,
             });
         });
     }
@@ -112,19 +119,23 @@ pub(crate) fn bypass(mode: ExecMode, image: &Image, config: &ExecConfig) -> Outc
 }
 
 /// Executes `image` on `config.mode`'s substrate and emits the run's
-/// telemetry; returns the outcome and, when profiled, the opcode hits.
+/// telemetry; returns the outcome, the opcode hits when profiled, and the
+/// number of methods lowered.
 fn execute(
     image: &Image,
     config: &ExecConfig,
     profiled: bool,
-) -> (Outcome, Option<[u64; OPCODE_COUNT]>) {
+) -> (Outcome, Option<[u64; OPCODE_COUNT]>, usize) {
     let profiler = profiled.then(OpcodeProfiler::new);
-    let (outcome, profiler) = match config.mode {
-        ExecMode::Interp => interp::execute(image, config, profiler),
+    let (outcome, profiler, lowerings) = match config.mode {
+        ExecMode::Interp => {
+            let (outcome, profiler) = interp::execute(image, config, profiler);
+            (outcome, profiler, 0)
+        }
         ExecMode::Threaded => threaded::execute(image, config, profiler),
     };
     emit(&outcome, profiler.as_ref().map(|p| (&p.hits, &p.nanos)));
-    (outcome, profiler.map(|p| p.hits))
+    (outcome, profiler.map(|p| p.hits), lowerings)
 }
 
 type Opcodes<'a> = (&'a [u64; OPCODE_COUNT], &'a [u64; OPCODE_COUNT]);
@@ -296,8 +307,40 @@ mod tests {
         assert!(!want.is_empty());
         assert_eq!(hits(&snap), want);
         let spans = taken.take_trace();
-        assert_eq!(spans.len() as u64, N);
-        assert!(spans.iter().all(|e| e.name == "interp_run"));
+        let named = |name: &str| spans.iter().filter(|e| e.name == name).count() as u64;
+        assert_eq!(named("interp_run"), N);
+        assert_eq!(named("lower"), N, "each run lowers `main` once");
+        assert_eq!(spans.len() as u64, 2 * N);
+    }
+
+    /// A hit replays the `lower` spans of the run it remembers, one per
+    /// method that run lowered, so span counts do not depend on which
+    /// thread's memo served a run.
+    #[test]
+    fn a_hit_replays_the_lower_spans_of_its_miss() {
+        const CALLS: &str = "class T { static int f(int x) { return x + 1; } static int g(int x) { return T.f(x) * 2; } static void main() { System.out.println(T.g(3)); } }";
+        let image = build(CALLS);
+        let lower_spans = |run: &dyn Fn() -> Outcome| {
+            jtelemetry::install(Session::new());
+            run();
+            let snap = jtelemetry::take().unwrap().snapshot();
+            snap.spans
+                .iter()
+                .find(|s| s.name == "lower")
+                .map_or(0, |s| s.count)
+        };
+        let executed = lower_spans(&|| bypass(ExecMode::Threaded, &image, &threaded()));
+        assert!(executed > 1, "main and its callees are lowered");
+        assert_eq!(lower_spans(&|| run(&image, &threaded())), executed, "miss");
+        assert_eq!(entries(), 1);
+        assert_eq!(lower_spans(&|| run(&image, &threaded())), executed, "hit");
+        assert_eq!(entries(), 1, "the second run was a hit");
+        let interp = ExecConfig {
+            mode: ExecMode::Interp,
+            ..threaded()
+        };
+        assert_eq!(lower_spans(&|| run(&image, &interp)), 0, "interp miss");
+        assert_eq!(lower_spans(&|| run(&image, &interp)), 0, "interp hit");
     }
 
     /// An entry made without profiling never serves a profiled run.

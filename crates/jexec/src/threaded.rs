@@ -424,7 +424,7 @@ impl At {
 /// Abstract machine state at one pc: the kind of every stack and local
 /// slot. Stack depth is exact — merges with mismatched depths abandon the
 /// analysis (see [`int_facts`]).
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 struct AbsState {
     stack: Vec<At>,
     locals: Vec<At>,
@@ -437,6 +437,168 @@ const FACTS_BUDGET_PER_INSTR: usize = 64;
 
 /// Instruction-count ceiling for running the recovery at all.
 const FACTS_MAX_INSTRS: usize = 2048;
+
+/// The abstract effect of `instr`, at `pc` of an `n`-instruction body, on
+/// `st`: its successors, or `None` when every path through it errors
+/// before producing a value (abstract stack underflow), which makes the
+/// path terminal.
+fn transfer(instr: &Instr, pc: usize, n: usize, st: &mut AbsState) -> Option<[Option<usize>; 2]> {
+    let n_locals = st.locals.len();
+    let mut succs: [Option<usize>; 2] = [None, None];
+    let fall = (pc + 1 < n).then_some(pc + 1);
+    let mut terminal = false;
+    macro_rules! popk {
+        () => {
+            match st.stack.pop() {
+                Some(k) => k,
+                None => {
+                    terminal = true;
+                    At::Any
+                }
+            }
+        };
+    }
+    match instr {
+        Instr::ConstI(_) => {
+            st.stack.push(At::Int);
+            succs[0] = fall;
+        }
+        Instr::ConstL(_) => {
+            st.stack.push(At::Long);
+            succs[0] = fall;
+        }
+        Instr::ConstB(_) => {
+            st.stack.push(At::Bool);
+            succs[0] = fall;
+        }
+        Instr::ConstNull | Instr::ClassObj(_) => {
+            st.stack.push(At::Any);
+            succs[0] = fall;
+        }
+        Instr::Load(s) => {
+            if (*s as usize) < n_locals {
+                st.stack.push(st.locals[*s as usize]);
+                succs[0] = fall;
+            }
+        }
+        Instr::Store(s) => {
+            let v = popk!();
+            if !terminal && (*s as usize) < n_locals {
+                st.locals[*s as usize] = v;
+                succs[0] = fall;
+            }
+        }
+        Instr::GetField(_) => {
+            let _ = popk!();
+            st.stack.push(At::Any);
+            succs[0] = fall;
+        }
+        Instr::PutField(_) => {
+            let _ = popk!();
+            let _ = popk!();
+            succs[0] = fall;
+        }
+        Instr::GetStatic(..) => {
+            st.stack.push(At::Any);
+            succs[0] = fall;
+        }
+        Instr::PutStatic(..) => {
+            let _ = popk!();
+            succs[0] = fall;
+        }
+        Instr::Arith(_) => {
+            let b = popk!();
+            let a = popk!();
+            let r = match (a, b) {
+                (At::Int, At::Int) => At::Int,
+                (At::Int | At::Long, At::Int | At::Long) => At::Long,
+                (At::Bool, At::Bool) => At::Bool,
+                _ => At::Any,
+            };
+            st.stack.push(r);
+            succs[0] = fall;
+        }
+        Instr::Cmp(_) => {
+            let _ = popk!();
+            let _ = popk!();
+            st.stack.push(At::Bool);
+            succs[0] = fall;
+        }
+        Instr::Neg => {
+            let v = popk!();
+            st.stack.push(match v {
+                At::Int => At::Int,
+                At::Long => At::Long,
+                _ => At::Any,
+            });
+            succs[0] = fall;
+        }
+        Instr::Not => {
+            let _ = popk!();
+            st.stack.push(At::Bool);
+            succs[0] = fall;
+        }
+        Instr::Jump(t) => {
+            succs[0] = (*t < n).then_some(*t);
+        }
+        Instr::JumpIfFalse(t) => {
+            let _ = popk!();
+            succs[0] = fall;
+            succs[1] = (*t < n).then_some(*t);
+        }
+        Instr::Invoke { argc, has_recv, .. } => {
+            for _ in 0..(*argc as usize + usize::from(*has_recv)) {
+                let _ = popk!();
+            }
+            st.stack.push(At::Any);
+            succs[0] = fall;
+        }
+        Instr::InvokeVirtual { argc, .. } => {
+            for _ in 0..(*argc as usize + 1) {
+                let _ = popk!();
+            }
+            st.stack.push(At::Any);
+            succs[0] = fall;
+        }
+        Instr::InvokeReflect { argc, has_recv, .. } => {
+            for _ in 0..(*argc as usize + usize::from(*has_recv)) {
+                let _ = popk!();
+            }
+            st.stack.push(At::Any);
+            succs[0] = fall;
+        }
+        Instr::New(_) => {
+            st.stack.push(At::Any);
+            succs[0] = fall;
+        }
+        Instr::BoxInt => {
+            let _ = popk!();
+            st.stack.push(At::Any);
+            succs[0] = fall;
+        }
+        Instr::UnboxInt => {
+            let _ = popk!();
+            st.stack.push(At::Int);
+            succs[0] = fall;
+        }
+        Instr::MonitorEnter | Instr::MonitorExit | Instr::Print | Instr::Pop => {
+            let _ = popk!();
+            succs[0] = fall;
+        }
+        Instr::Dup => {
+            match st.stack.last() {
+                Some(&v) => st.stack.push(v),
+                None => terminal = true,
+            }
+            succs[0] = fall;
+        }
+        Instr::ReturnV => {
+            let _ = popk!();
+        }
+        Instr::Return => {}
+    }
+    (!terminal).then_some(succs)
+}
 
 /// Lowering-time recovery of statically-`int` operand pairs: a forward
 /// abstract interpretation over `Code` tracking, per pc, the abstract kind
@@ -453,6 +615,11 @@ const FACTS_MAX_INSTRS: usize = 2048;
 /// code — abandons the analysis entirely. A missed fact only costs the
 /// generic tag-dispatched op; a wrong fact would be a miscompile, so every
 /// `ArithII`/`CmpII` dispatch debug-asserts its operand tags.
+///
+/// Allocation-lean: every pc's state lives in one arena, appended when the
+/// pc is first reached (its locals, then its stack). A pc's stack depth is
+/// fixed, so its slot never moves; joins write into it in place, and one
+/// scratch state, reused across visits, runs the transfer.
 fn int_facts(code: &Code) -> Vec<bool> {
     let n = code.instrs.len();
     let mut facts = vec![false; n];
@@ -460,221 +627,64 @@ fn int_facts(code: &Code) -> Vec<bool> {
         return facts;
     }
     let n_locals = code.n_locals as usize;
-    let mut states: Vec<Option<AbsState>> = vec![None; n];
-    states[0] = Some(AbsState {
+    // `slots[pc]` is `(start, depth)`: pc's state is
+    // `arena[start..start + n_locals + depth]`.
+    let mut slots: Vec<Option<(usize, usize)>> = vec![None; n];
+    let mut arena = vec![At::Any; n_locals];
+    slots[0] = Some((0, 0));
+    let mut st = AbsState {
         stack: Vec::new(),
-        locals: vec![At::Any; n_locals],
-    });
+        locals: Vec::with_capacity(n_locals),
+    };
     let mut work = vec![0usize];
     let mut budget = FACTS_BUDGET_PER_INSTR * n;
     while let Some(pc) = work.pop() {
         if budget == 0 {
-            return vec![false; n];
+            return facts;
         }
         budget -= 1;
-        let Some(mut st) = states[pc].clone() else {
+        let Some((start, depth)) = slots[pc] else {
             continue;
         };
-        // Transfer: `None` from a pop means abstract underflow — real
-        // execution errors at this pc, so the path is terminal.
-        let mut succs: [Option<usize>; 2] = [None, None];
-        let fall = (pc + 1 < n).then_some(pc + 1);
-        let mut terminal = false;
-        macro_rules! popk {
-            () => {
-                match st.stack.pop() {
-                    Some(k) => k,
-                    None => {
-                        terminal = true;
-                        At::Any
-                    }
-                }
-            };
-        }
-        match &code.instrs[pc] {
-            Instr::ConstI(_) => {
-                st.stack.push(At::Int);
-                succs[0] = fall;
-            }
-            Instr::ConstL(_) => {
-                st.stack.push(At::Long);
-                succs[0] = fall;
-            }
-            Instr::ConstB(_) => {
-                st.stack.push(At::Bool);
-                succs[0] = fall;
-            }
-            Instr::ConstNull | Instr::ClassObj(_) => {
-                st.stack.push(At::Any);
-                succs[0] = fall;
-            }
-            Instr::Load(s) => {
-                if (*s as usize) < n_locals {
-                    st.stack.push(st.locals[*s as usize]);
-                    succs[0] = fall;
-                }
-            }
-            Instr::Store(s) => {
-                let v = popk!();
-                if !terminal && (*s as usize) < n_locals {
-                    st.locals[*s as usize] = v;
-                    succs[0] = fall;
-                }
-            }
-            Instr::GetField(_) => {
-                let _ = popk!();
-                st.stack.push(At::Any);
-                succs[0] = fall;
-            }
-            Instr::PutField(_) => {
-                let _ = popk!();
-                let _ = popk!();
-                succs[0] = fall;
-            }
-            Instr::GetStatic(..) => {
-                st.stack.push(At::Any);
-                succs[0] = fall;
-            }
-            Instr::PutStatic(..) => {
-                let _ = popk!();
-                succs[0] = fall;
-            }
-            Instr::Arith(_) => {
-                let b = popk!();
-                let a = popk!();
-                let r = match (a, b) {
-                    (At::Int, At::Int) => At::Int,
-                    (At::Int | At::Long, At::Int | At::Long) => At::Long,
-                    (At::Bool, At::Bool) => At::Bool,
-                    _ => At::Any,
-                };
-                st.stack.push(r);
-                succs[0] = fall;
-            }
-            Instr::Cmp(_) => {
-                let _ = popk!();
-                let _ = popk!();
-                st.stack.push(At::Bool);
-                succs[0] = fall;
-            }
-            Instr::Neg => {
-                let v = popk!();
-                st.stack.push(match v {
-                    At::Int => At::Int,
-                    At::Long => At::Long,
-                    _ => At::Any,
-                });
-                succs[0] = fall;
-            }
-            Instr::Not => {
-                let _ = popk!();
-                st.stack.push(At::Bool);
-                succs[0] = fall;
-            }
-            Instr::Jump(t) => {
-                succs[0] = (*t < n).then_some(*t);
-            }
-            Instr::JumpIfFalse(t) => {
-                let _ = popk!();
-                succs[0] = fall;
-                succs[1] = (*t < n).then_some(*t);
-            }
-            Instr::Invoke { argc, has_recv, .. } => {
-                for _ in 0..(*argc as usize + usize::from(*has_recv)) {
-                    let _ = popk!();
-                }
-                st.stack.push(At::Any);
-                succs[0] = fall;
-            }
-            Instr::InvokeVirtual { argc, .. } => {
-                for _ in 0..(*argc as usize + 1) {
-                    let _ = popk!();
-                }
-                st.stack.push(At::Any);
-                succs[0] = fall;
-            }
-            Instr::InvokeReflect { argc, has_recv, .. } => {
-                for _ in 0..(*argc as usize + usize::from(*has_recv)) {
-                    let _ = popk!();
-                }
-                st.stack.push(At::Any);
-                succs[0] = fall;
-            }
-            Instr::New(_) => {
-                st.stack.push(At::Any);
-                succs[0] = fall;
-            }
-            Instr::BoxInt => {
-                let _ = popk!();
-                st.stack.push(At::Any);
-                succs[0] = fall;
-            }
-            Instr::UnboxInt => {
-                let _ = popk!();
-                st.stack.push(At::Int);
-                succs[0] = fall;
-            }
-            Instr::MonitorEnter | Instr::MonitorExit | Instr::Print | Instr::Pop => {
-                let _ = popk!();
-                succs[0] = fall;
-            }
-            Instr::Dup => {
-                match st.stack.last() {
-                    Some(&v) => st.stack.push(v),
-                    None => terminal = true,
-                }
-                succs[0] = fall;
-            }
-            Instr::ReturnV => {
-                let _ = popk!();
-            }
-            Instr::Return => {}
-        }
-        if terminal {
+        let (locals, stack) = arena[start..start + n_locals + depth].split_at(n_locals);
+        st.locals.clear();
+        st.locals.extend_from_slice(locals);
+        st.stack.clear();
+        st.stack.extend_from_slice(stack);
+        let Some(succs) = transfer(&code.instrs[pc], pc, n, &mut st) else {
             continue;
-        }
+        };
         for succ in succs.into_iter().flatten() {
-            match &mut states[succ] {
-                slot @ None => {
-                    *slot = Some(st.clone());
-                    work.push(succ);
+            let Some((start, depth)) = slots[succ] else {
+                slots[succ] = Some((arena.len(), st.stack.len()));
+                arena.extend_from_slice(&st.locals);
+                arena.extend_from_slice(&st.stack);
+                work.push(succ);
+                continue;
+            };
+            if depth != st.stack.len() {
+                // Depth mismatch: exact depth tracking is the soundness
+                // backbone, so give up wholesale.
+                return facts;
+            }
+            let mut changed = false;
+            let old = &mut arena[start..start + n_locals + depth];
+            for (o, v) in old.iter_mut().zip(st.locals.iter().chain(&st.stack)) {
+                let j = o.join(*v);
+                if j != *o {
+                    *o = j;
+                    changed = true;
                 }
-                Some(old) => {
-                    if old.stack.len() != st.stack.len() {
-                        // Depth mismatch: exact depth tracking is the
-                        // soundness backbone, so give up wholesale.
-                        return vec![false; n];
-                    }
-                    let mut changed = false;
-                    for (o, v) in old.stack.iter_mut().zip(&st.stack) {
-                        let j = o.join(*v);
-                        if j != *o {
-                            *o = j;
-                            changed = true;
-                        }
-                    }
-                    for (o, v) in old.locals.iter_mut().zip(&st.locals) {
-                        let j = o.join(*v);
-                        if j != *o {
-                            *o = j;
-                            changed = true;
-                        }
-                    }
-                    if changed {
-                        work.push(succ);
-                    }
-                }
+            }
+            if changed {
+                work.push(succ);
             }
         }
     }
     for (pc, instr) in code.instrs.iter().enumerate() {
-        if matches!(instr, Instr::Arith(_) | Instr::Cmp(_)) {
-            if let Some(st) = &states[pc] {
-                let d = st.stack.len();
-                if d >= 2 && st.stack[d - 1] == At::Int && st.stack[d - 2] == At::Int {
-                    facts[pc] = true;
-                }
-            }
+        if let (Instr::Arith(_) | Instr::Cmp(_), Some((start, depth))) = (instr, slots[pc]) {
+            let stack = &arena[start + n_locals..start + n_locals + depth];
+            facts[pc] = matches!(stack, [.., At::Int, At::Int]);
         }
     }
     facts
@@ -1567,19 +1577,20 @@ struct TMachine<'i> {
 ///
 /// Observably identical to [`crate::interp::run`] — outcome, fuel and
 /// cancellation behaviour, and telemetry (both emit theirs through
-/// `memo`) — so journals and traces are byte-identical across
-/// exec modes. `config.mode` is ignored here.
+/// `memo`) apart from this substrate's `lower` spans — so journals are
+/// byte-identical across exec modes. `config.mode` is ignored here.
 pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
     crate::memo::bypass(crate::ExecMode::Threaded, image, config)
 }
 
 /// The threaded substrate proper: runs `image` with `profiler` attached
-/// (if any) and hands the profiler back. Emits no telemetry.
+/// (if any) and hands the profiler back, with the number of methods the
+/// run lowered. Its only telemetry is one `lower` span per lowering.
 pub(crate) fn execute(
     image: &Image,
     config: &ExecConfig,
     profiler: Option<OpcodeProfiler>,
-) -> (Outcome, Option<OpcodeProfiler>) {
+) -> (Outcome, Option<OpcodeProfiler>, usize) {
     let mut statics = RegFile::default();
     for class in &image.classes {
         for f in &class.static_fields {
@@ -1625,7 +1636,8 @@ pub(crate) fn execute(
         stats: machine.stats,
         profile: machine.profile,
     };
-    (outcome, machine.profiler)
+    let lowerings = machine.lowered.iter().flatten().count();
+    (outcome, machine.profiler, lowerings)
 }
 
 impl<'i> TMachine<'i> {
@@ -1636,6 +1648,7 @@ impl<'i> TMachine<'i> {
             return Rc::clone(tc);
         }
         LOWERINGS.fetch_add(1, Ordering::Relaxed);
+        let _span = jtelemetry::span("lower", Vec::new);
         let tc = Rc::new(fuse(self.image, mid, lower(self.image, mid)));
         self.lowered[mid] = Some(Rc::clone(&tc));
         tc
@@ -3127,5 +3140,201 @@ mod tests {
             !int_facts(&merge_code)[6],
             "join of int and long is not int"
         );
+    }
+
+    /// The worklist fixpoint `int_facts` replaced: one cloned `AbsState`
+    /// per reached pc, cloned again at every visit and every successor.
+    /// Same transfer, same LIFO order, same budget and give-up rules, so
+    /// the arena version must agree with it bit for bit.
+    fn reference_int_facts(code: &Code) -> Vec<bool> {
+        let n = code.instrs.len();
+        let mut facts = vec![false; n];
+        if n == 0 || n > FACTS_MAX_INSTRS {
+            return facts;
+        }
+        let mut states: Vec<Option<AbsState>> = vec![None; n];
+        states[0] = Some(AbsState {
+            stack: Vec::new(),
+            locals: vec![At::Any; code.n_locals as usize],
+        });
+        let mut work = vec![0usize];
+        let mut budget = FACTS_BUDGET_PER_INSTR * n;
+        while let Some(pc) = work.pop() {
+            if budget == 0 {
+                return vec![false; n];
+            }
+            budget -= 1;
+            let Some(mut st) = states[pc].clone() else {
+                continue;
+            };
+            let Some(succs) = transfer(&code.instrs[pc], pc, n, &mut st) else {
+                continue;
+            };
+            for succ in succs.into_iter().flatten() {
+                match &mut states[succ] {
+                    slot @ None => {
+                        *slot = Some(st.clone());
+                        work.push(succ);
+                    }
+                    Some(old) => {
+                        if old.stack.len() != st.stack.len() {
+                            return vec![false; n];
+                        }
+                        let mut changed = false;
+                        for (o, v) in old.stack.iter_mut().zip(&st.stack) {
+                            let j = o.join(*v);
+                            if j != *o {
+                                *o = j;
+                                changed = true;
+                            }
+                        }
+                        for (o, v) in old.locals.iter_mut().zip(&st.locals) {
+                            let j = o.join(*v);
+                            if j != *o {
+                                *o = j;
+                                changed = true;
+                            }
+                        }
+                        if changed {
+                            work.push(succ);
+                        }
+                    }
+                }
+            }
+        }
+        for (pc, instr) in code.instrs.iter().enumerate() {
+            if matches!(instr, Instr::Arith(_) | Instr::Cmp(_)) {
+                if let Some(st) = &states[pc] {
+                    let d = st.stack.len();
+                    if d >= 2 && st.stack[d - 1] == At::Int && st.stack[d - 2] == At::Int {
+                        facts[pc] = true;
+                    }
+                }
+            }
+        }
+        facts
+    }
+
+    #[test]
+    fn int_facts_match_the_reference_on_every_sample_method() {
+        let mut proven = 0;
+        for seed in mjava::samples::all_seeds() {
+            let image = Image::build(&seed.program).unwrap();
+            for m in &image.methods {
+                let facts = int_facts(&m.code);
+                assert_eq!(facts, reference_int_facts(&m.code), "{}", seed.name);
+                proven += facts.iter().filter(|&&f| f).count();
+            }
+        }
+        assert!(proven > 0, "the samples prove some int facts");
+    }
+
+    /// A body the fixpoint cannot finish within its budget when `rotate`
+    /// is large: it makes `rotate` locals `int`, then loops shifting each
+    /// local into its left neighbour and storing a `long` into the last,
+    /// so each trip of the loop turns just one more local into `Any`, and
+    /// every trip revisits the whole body. Its first instructions add two
+    /// `int` constants, a fact lost only if the analysis gives up.
+    fn budget_code(rotate: u16) -> Code {
+        let mut instrs = vec![
+            Instr::ConstI(1),
+            Instr::ConstI(2),
+            Instr::Arith(ArithOp::Add),
+            Instr::Pop,
+        ];
+        for slot in 0..rotate {
+            instrs.extend([Instr::ConstI(0), Instr::Store(slot)]);
+        }
+        let head = instrs.len();
+        for slot in 1..rotate {
+            instrs.extend([Instr::Load(slot), Instr::Store(slot - 1)]);
+        }
+        instrs.extend([
+            Instr::ConstL(0),
+            Instr::Store(rotate - 1),
+            Instr::Jump(head),
+        ]);
+        Code {
+            instrs,
+            n_locals: rotate,
+            max_stack: 2,
+        }
+    }
+
+    #[test]
+    fn the_budget_gives_up_on_slow_convergence() {
+        assert!(int_facts(&budget_code(8))[2], "a short rotation converges");
+        let slow = budget_code(200);
+        assert!(slow.instrs.len() <= FACTS_MAX_INSTRS);
+        assert!(!int_facts(&slow)[2], "a long rotation exhausts the budget");
+        assert_eq!(int_facts(&slow), reference_int_facts(&slow));
+    }
+
+    /// One random instruction: slots up to 7 against bodies of 0–4
+    /// locals, jump targets up to three past the end, and every stack
+    /// effect, so random bodies underflow, read and write bad slots,
+    /// jump out of range and merge paths of different depths.
+    fn random_instr(kind: u8, arg: u16, len: usize) -> Instr {
+        let slot = arg % 8;
+        let target = arg as usize % (len + 3);
+        match kind {
+            0 => Instr::ConstI(i32::from(arg)),
+            1 => Instr::ConstL(i64::from(arg)),
+            2 => Instr::ConstB(arg.is_multiple_of(2)),
+            3 => Instr::ConstNull,
+            4 | 5 => Instr::Load(slot),
+            6 | 7 => Instr::Store(slot),
+            8 => Instr::Arith(ArithOp::Add),
+            9 => Instr::Arith(ArithOp::Mul),
+            10 => Instr::Cmp(CmpOp::Lt),
+            11 => Instr::Neg,
+            12 => Instr::Not,
+            13 => Instr::Jump(target),
+            14 | 15 => Instr::JumpIfFalse(target),
+            16 => Instr::Dup,
+            17 => Instr::Pop,
+            18 => Instr::UnboxInt,
+            19 => Instr::BoxInt,
+            20 => Instr::GetField("f".into()),
+            21 => Instr::Invoke {
+                method: 0,
+                argc: (arg % 3) as u8,
+                has_recv: arg % 2 == 1,
+            },
+            22 => Instr::ReturnV,
+            _ => Instr::Return,
+        }
+    }
+
+    fn random_code() -> impl proptest::strategy::Strategy<Value = Code> {
+        use proptest::prelude::*;
+        let random = (
+            0u16..5,
+            prop::collection::vec((0u8..24, any::<u16>()), 1..48),
+        )
+            .prop_map(|(n_locals, picks)| {
+                let len = picks.len();
+                Code {
+                    instrs: picks
+                        .into_iter()
+                        .map(|(kind, arg)| random_instr(kind, arg, len))
+                        .collect(),
+                    n_locals,
+                    max_stack: 8,
+                }
+            });
+        prop::strategy::Union::weighted(vec![
+            (4, random.boxed()),
+            (1, (1u16..200).prop_map(budget_code).boxed()),
+        ])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn int_facts_match_the_reference_on_random_code(code in random_code()) {
+            proptest::prop_assert_eq!(int_facts(&code), reference_int_facts(&code));
+        }
     }
 }

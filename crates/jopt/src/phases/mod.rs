@@ -77,7 +77,7 @@ pub(crate) mod testutil {
             .iter_mut()
             .find(|m| m.name == outcome.method.name)
             .expect("method");
-        *m = outcome.method.clone();
+        *m = (*outcome.method).clone();
         let after = jexec::run_program(&optimized, &jexec::ExecConfig::default()).unwrap();
         assert_eq!(
             before.observable(),

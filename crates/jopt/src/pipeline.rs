@@ -207,8 +207,10 @@ impl<'p> OptCx<'p> {
 /// The result of optimizing one method.
 #[derive(Debug, Clone)]
 pub struct OptOutcome {
-    /// The optimized method (same name/signature, rewritten body).
-    pub method: mjava::Method,
+    /// The optimized method (same name/signature, rewritten body). A memo
+    /// hit shares it with the memo's snapshot: copy on write
+    /// (`Arc::make_mut`), never in place.
+    pub method: Arc<mjava::Method>,
     /// Every optimization behaviour performed.
     pub events: Vec<OptEvent>,
     /// The trace log as rendered under the given flags (profile data).
@@ -236,7 +238,7 @@ pub fn optimize(
     run_pipeline(&mut method, class, phase_order, &mut cx);
     let log = render_log(&cx.method_label, &cx.events, flags);
     Some(OptOutcome {
-        method,
+        method: Arc::new(method),
         events: cx.events,
         log,
         covered: cx.covered,
@@ -282,7 +284,7 @@ fn render_log(method_label: &str, events: &[OptEvent], flags: &FlagSet) -> Vec<S
 /// spans, so flight streams and span histograms stay identical whether
 /// the pipeline ran or was replayed.
 struct Snapshot {
-    method: mjava::Method,
+    method: Arc<mjava::Method>,
     events: Vec<OptEvent>,
     covered: HashSet<u32>,
     phases_run: usize,
@@ -367,7 +369,8 @@ pub fn source_fingerprint(source: &str) -> u64 {
 /// published to a process-wide memo keyed by `(program fingerprint,
 /// class, method, phase order, limits)`, so differential-pool JVMs that
 /// share a compile configuration (and repeated runs of a corpus seed)
-/// run the pipeline at most once.
+/// run the pipeline at most once. Hit or miss, the outcome's method is
+/// the snapshot's, shared rather than copied.
 ///
 /// `program_fp` must be a fingerprint of `program`'s canonical source
 /// (`mjava::print`) — callers compute it once per program. Trace `flags`
@@ -414,7 +417,7 @@ pub fn optimize_memo(
             let mut method = source.clone();
             let phases_run = run_pipeline(&mut method, class, phase_order, &mut cx);
             let snapshot = Arc::new(Snapshot {
-                method,
+                method: Arc::new(method),
                 events: std::mem::take(&mut cx.events),
                 covered: std::mem::take(&mut cx.covered),
                 phases_run,
@@ -429,7 +432,7 @@ pub fn optimize_memo(
         }
     };
     Some(OptOutcome {
-        method: snapshot.method.clone(),
+        method: Arc::clone(&snapshot.method),
         events: snapshot.events.clone(),
         log: render_log(&cx.method_label, &snapshot.events, flags),
         covered: snapshot.covered.clone(),
@@ -651,7 +654,7 @@ mod tests {
         }
         // The configs compile to pairwise different outcomes, so a lookup
         // served from another config's entry could not have matched above.
-        let outcomes: Vec<(mjava::Method, Vec<OptEvent>)> = configs
+        let outcomes: Vec<(Arc<mjava::Method>, Vec<OptEvent>)> = configs
             .iter()
             .map(|(method, order, limits)| {
                 let [_, direct] = memo_and_direct(method, order, *limits);

@@ -18,6 +18,7 @@ use crate::component::Component;
 use crate::spec::{Family, Version};
 use jopt::{OptEvent, OptEventKind};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A predicate over per-compilation event counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -830,13 +831,88 @@ fn j9_bugs() -> Vec<InjectedBug> {
 
 /// Applies a miscompilation's corruption to the optimized method body.
 /// Returns true if the pattern was found and corrupted.
-pub fn apply_corruption(method: &mut mjava::Method, corruption: Corruption) -> bool {
+///
+/// Copy on write: the method is copied only when the pattern is found and
+/// someone else holds it too (a memo hit's method is the pipeline memo's
+/// snapshot, which must stay intact). When the pattern is absent,
+/// `method` is left as it was, the same allocation.
+pub fn apply_corruption(method: &mut Arc<mjava::Method>, corruption: Corruption) -> bool {
+    if !has_pattern(&method.body, corruption) {
+        return false;
+    }
+    let corrupted = corrupt(&mut Arc::make_mut(method).body, corruption);
+    debug_assert!(
+        corrupted,
+        "{corruption:?} found a pattern it cannot rewrite"
+    );
+    corrupted
+}
+
+/// Whether [`corrupt`] would find `corruption`'s pattern in `body`: the
+/// same walks, read-only.
+fn has_pattern(body: &mjava::Block, corruption: Corruption) -> bool {
+    use mjava::{Expr, Stmt};
+    fn store(stmt: &Stmt) -> bool {
+        match stmt {
+            Stmt::Assign { .. } => true,
+            Stmt::If { then_b, else_b, .. } => {
+                then_b.0.iter().any(store) || else_b.as_ref().is_some_and(|e| e.0.iter().any(store))
+            }
+            Stmt::While { body, .. }
+            | Stmt::For { body, .. }
+            | Stmt::Sync { body, .. }
+            | Stmt::Block(body) => body.0.iter().any(store),
+            _ => false,
+        }
+    }
+    fn guard(stmt: &Stmt) -> bool {
+        match stmt {
+            Stmt::If { .. } => true,
+            Stmt::While { body, .. }
+            | Stmt::For { body, .. }
+            | Stmt::Sync { body, .. }
+            | Stmt::Block(body) => body.0.iter().any(guard),
+            _ => false,
+        }
+    }
+    fn lt_loop(stmt: &Stmt) -> bool {
+        match stmt {
+            Stmt::For { cond, body, .. } => {
+                matches!(cond, Expr::Binary(mjava::BinOp::Lt, _, _)) || body.0.iter().any(lt_loop)
+            }
+            Stmt::While { body, .. } | Stmt::Sync { body, .. } | Stmt::Block(body) => {
+                body.0.iter().any(lt_loop)
+            }
+            Stmt::If { then_b, else_b, .. } => {
+                then_b.0.iter().any(lt_loop)
+                    || else_b.as_ref().is_some_and(|e| e.0.iter().any(lt_loop))
+            }
+            _ => false,
+        }
+    }
+    match corruption {
+        Corruption::DropLastStore => body.0.iter().any(store),
+        Corruption::AddBecomesSub => {
+            let mut found = false;
+            jopt::analysis::map_exprs_in_block_ref(body, &mut |e| {
+                found |= matches!(e, Expr::Binary(mjava::BinOp::Add, _, _));
+            });
+            found
+        }
+        Corruption::NegateFirstGuard => body.0.iter().any(guard),
+        Corruption::OffByOneLoop => body.0.iter().any(lt_loop),
+    }
+}
+
+/// Rewrites the first occurrence of `corruption`'s pattern in `body`;
+/// returns whether there was one.
+fn corrupt(body: &mut mjava::Block, corruption: Corruption) -> bool {
     use mjava::{Block, Expr, Stmt};
     match corruption {
-        Corruption::DropLastStore => drop_last_store(&mut method.body),
+        Corruption::DropLastStore => drop_last_store(body),
         Corruption::AddBecomesSub => {
             let mut done = false;
-            jopt::analysis::map_exprs_in_block(&mut method.body, &mut |e| {
+            jopt::analysis::map_exprs_in_block(body, &mut |e| {
                 if done {
                     return;
                 }
@@ -849,7 +925,7 @@ pub fn apply_corruption(method: &mut mjava::Method, corruption: Corruption) -> b
             });
             done
         }
-        Corruption::NegateFirstGuard => negate_first_guard(&mut method.body),
+        Corruption::NegateFirstGuard => negate_first_guard(body),
         Corruption::OffByOneLoop => {
             fn walk(block: &mut Block) -> bool {
                 for stmt in &mut block.0 {
@@ -877,7 +953,7 @@ pub fn apply_corruption(method: &mut mjava::Method, corruption: Corruption) -> b
                 }
                 false
             }
-            walk(&mut method.body)
+            walk(body)
         }
     }
 }
@@ -1094,15 +1170,120 @@ mod tests {
             "#,
         )
         .unwrap();
-        for c in [
-            Corruption::DropLastStore,
-            Corruption::AddBecomesSub,
-            Corruption::NegateFirstGuard,
-            Corruption::OffByOneLoop,
-        ] {
-            let mut m = p.classes[0].methods[0].clone();
+        for c in CORRUPTIONS {
+            let mut m = Arc::new(p.classes[0].methods[0].clone());
             assert!(apply_corruption(&mut m, c), "{c:?} found no pattern");
             assert_ne!(m.body, p.classes[0].methods[0].body, "{c:?} was a no-op");
+        }
+    }
+
+    const CORRUPTIONS: [Corruption; 4] = [
+        Corruption::DropLastStore,
+        Corruption::AddBecomesSub,
+        Corruption::NegateFirstGuard,
+        Corruption::OffByOneLoop,
+    ];
+
+    /// The read-only pattern check agrees with the rewrite on every
+    /// method of the built-in seeds, before and after optimization.
+    #[test]
+    fn the_pattern_check_agrees_with_the_rewrite() {
+        let mut found = [0; 4];
+        for seed in mjava::samples::all_seeds() {
+            for class in &seed.program.classes {
+                for m in &class.methods {
+                    let optimized = jopt::optimize(
+                        &seed.program,
+                        &class.name,
+                        &m.name,
+                        &jopt::PhaseId::DEFAULT_ORDER,
+                        jopt::OptLimits::default(),
+                        &jopt::FlagSet::all(),
+                    )
+                    .unwrap();
+                    for body in [&m.body, &optimized.method.body] {
+                        for (i, c) in CORRUPTIONS.into_iter().enumerate() {
+                            let expect = corrupt(&mut body.clone(), c);
+                            assert_eq!(has_pattern(body, c), expect, "{c:?} in {}", seed.name);
+                            found[i] += usize::from(expect);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(found.iter().all(|&n| n > 0), "{found:?}");
+    }
+
+    /// Phases that keep every corruption's pattern in the program below
+    /// (the loop phase would peel its `for`).
+    const SHARED_ORDER: [jopt::PhaseId; 3] = [
+        jopt::PhaseId::Inline,
+        jopt::PhaseId::Gvn,
+        jopt::PhaseId::Dce,
+    ];
+
+    fn memo_compile(p: &mjava::Program) -> jopt::OptOutcome {
+        jopt::optimize_memo(
+            p,
+            jopt::source_fingerprint(&mjava::print(p)),
+            "T",
+            "main",
+            &SHARED_ORDER,
+            jopt::OptLimits::default(),
+            &jopt::FlagSet::all(),
+        )
+        .unwrap()
+    }
+
+    /// A miscompile that fires on a memo-shared compile corrupts a copy:
+    /// the memo's snapshot stays intact, so the next lookup of the same
+    /// compile still equals a fresh `optimize`.
+    #[test]
+    fn a_corruption_copies_a_shared_compile() {
+        let p = mjava::parse(
+            r#"
+            class T {
+                static int s;
+                static int n = 5;
+                static void main() {
+                    for (int i = 0; i < T.n; i++) {
+                        if (s < 7) { s = s + i; }
+                    }
+                    System.out.println(s);
+                }
+            }
+            "#,
+        )
+        .unwrap();
+        let direct = jopt::optimize(
+            &p,
+            "T",
+            "main",
+            &SHARED_ORDER,
+            jopt::OptLimits::default(),
+            &jopt::FlagSet::all(),
+        )
+        .unwrap();
+        for c in CORRUPTIONS {
+            let mut method = memo_compile(&p).method;
+            let shared = Arc::clone(&method);
+            assert!(apply_corruption(&mut method, c), "{c:?} found no pattern");
+            assert!(!Arc::ptr_eq(&method, &shared), "{c:?} wrote in place");
+            assert_ne!(method, shared, "{c:?} was a no-op");
+            assert_eq!(shared, direct.method, "{c:?} changed the shared compile");
+            assert_eq!(memo_compile(&p).method, direct.method, "{c:?}");
+        }
+    }
+
+    /// A corruption whose pattern is absent leaves the very same method.
+    #[test]
+    fn an_absent_pattern_keeps_the_shared_compile() {
+        let p = mjava::parse("class T { static void main() { System.out.println(1); } }").unwrap();
+        let mut method = memo_compile(&p).method;
+        let before = Arc::clone(&method);
+        for c in CORRUPTIONS {
+            assert!(!apply_corruption(&mut method, c), "{c:?}");
+            assert!(Arc::ptr_eq(&method, &before), "{c:?} copied the method");
         }
     }
 

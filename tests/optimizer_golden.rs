@@ -25,6 +25,7 @@ use mopfuzzer::corpus::{builtin, corpus, Seed};
 use rand::rngs::SmallRng;
 use rand::{Rng as _, SeedableRng as _};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn table_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/optimizer_v1.txt")
@@ -116,7 +117,7 @@ fn digest(
         .find(|c| c.name == class)
         .and_then(|c| c.methods.iter_mut().find(|m| m.name == method))
         .expect("method exists");
-    *slot = out.method;
+    *slot = Arc::unwrap_or_clone(out.method);
     let mut h = feed(0xcbf2_9ce4_8422_2325, &mjava::print(&installed));
     for e in &out.events {
         h = feed(h, e.kind.name());
